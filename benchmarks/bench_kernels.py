@@ -31,6 +31,19 @@ def timeit(fn, repeats):
     return best, out
 
 
+def serpentine_dsm(size):
+    """Worst case for reconstruction: a one-pixel corridor winding through
+    every even row, joined at alternating ends, with the marker high only
+    at its start. Returns (marker, dsm); the reconstruction equals the dsm."""
+    dsm = np.zeros((size, size), dtype=np.float32)
+    dsm[0::2] = 10.0
+    for k, y in enumerate(range(1, size - 1, 2)):
+        dsm[y, size - 1 if k % 2 == 0 else 0] = 10.0
+    marker = np.zeros_like(dsm)
+    marker[0, 0] = 10.0
+    return marker, dsm
+
+
 def bench(size, repeats):
     rng = np.random.default_rng(99)
     dsm = rng.uniform(0, 40, (size, size)).astype(np.float32)
@@ -55,9 +68,12 @@ def bench(size, repeats):
     right[internal] = 2 * internal + 2
 
     marker = pure.grey_erode_square(dsm, 31)
+    serp = {n: serpentine_dsm(n) for n in (128, 256)}
     cases = [
         ("erode 31x31", lambda impl: impl.grey_erode_square(dsm, 31)),
         ("reconstruct", lambda impl: impl.reconstruct_dilation(marker, dsm)),
+        ("recon serp 128", lambda impl: impl.reconstruct_dilation(*serp[128])),
+        ("recon serp 256", lambda impl: impl.reconstruct_dilation(*serp[256])),
         ("glcm w13 l32", lambda impl: impl.glcm_feature_image(
             levels_img, 13, 32, offsets)),
         ("best_split 40k", lambda impl: impl.best_split(X, y, idx, feats, 20)),

@@ -49,13 +49,37 @@ def grey_erode_square(img: np.ndarray, size: int) -> np.ndarray:
     return np.ascontiguousarray(out, dtype=np.float32)
 
 
+def _sweep(lines, inner, mask, order, buf) -> None:
+    """One wavefront sweep over the lines (rows or columns) of an image.
+
+    `lines[i]` is line i with its -inf border cells, `inner[i]` the same
+    line without them and `mask[i]` the mask line. Lines are visited in
+    `order`; each takes the max of itself and min(mask line, max of its
+    three neighbours in the line visited just before), so a value travels
+    the whole sweep in one pass.
+    """
+    prev = lines[order[0]]
+    for i in order[1:]:
+        np.maximum(prev[:-2], prev[2:], out=buf)
+        np.maximum(buf, prev[1:-1], out=buf)
+        np.minimum(buf, mask[i], out=buf)
+        np.maximum(inner[i], buf, out=inner[i])
+        prev = lines[i]
+
+
 def reconstruct_dilation(marker: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Morphological reconstruction by dilation, 8-connectivity.
 
-    Sequential raster-scan algorithm: alternate forward (top-left to
-    bottom-right) and backward passes, each propagating maxima clipped by
-    the mask, until a full pair of passes changes nothing. Only max/min
-    comparisons are used, so the result is exact.
+    Vectorised wavefront sweeps, repeated until stable: rows top to bottom
+    (each row takes its N, NW and NE neighbours, clipped by the mask), rows
+    bottom to top, then columns left to right and right to left. After
+    each round, one whole-image geodesic dilation, min(mask, 3x3 max), is
+    the stop test: the loop ends when it raises no pixel, which is the
+    definition of the fixed point.
+
+    Exact: every update is an elementary geodesic dilation, so no pixel
+    ever exceeds the reconstruction, and a fixed point above the marker
+    cannot lie below it. Only max/min comparisons are used.
     """
     marker = np.asarray(marker, dtype=np.float32)
     mask = np.asarray(mask, dtype=np.float32)
@@ -63,62 +87,33 @@ def reconstruct_dilation(marker: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise ValueError("marker and mask shapes differ")
     if np.any(marker > mask):
         raise ValueError("marker must be <= mask everywhere")
-    j = np.minimum(marker, mask).copy()
-    h, w = j.shape
+    h, w = mask.shape
+    if mask.size == 0:
+        return marker.copy()
+    # a -inf border turns every neighbour lookup into a plain slice
+    pad = np.full((h + 2, w + 2), -np.inf, dtype=np.float32)
+    j = pad[1:-1, 1:-1]
+    j[...] = marker
+    # per-line views, made once: indexing a 2-D array per line costs more
+    rows, cols = list(pad[1:-1]), list(pad[:, 1:-1].T)
+    j_rows, j_cols = list(j), list(j.T)
+    m_rows, m_cols = list(mask), list(mask.T)
+    row_buf = np.empty(w, dtype=np.float32)
+    col_buf = np.empty(h, dtype=np.float32)
+    dil = np.empty((h, w), dtype=np.float32)
     while True:
-        changed = False
-        # forward pass: north neighbors vectorized, west propagation scalar
-        for y in range(h):
-            cand = j[y].copy()
-            if y > 0:
-                up = j[y - 1]
-                np.maximum(cand, up, out=cand)
-                np.maximum(cand[1:], up[:-1], out=cand[1:])
-                np.maximum(cand[:-1], up[1:], out=cand[:-1])
-            row = cand.tolist()
-            mrow = mask[y].tolist()
-            cur = row[0] if row[0] <= mrow[0] else mrow[0]
-            row[0] = cur
-            for x in range(1, w):
-                v = row[x]
-                if cur > v:
-                    v = cur
-                mv = mrow[x]
-                if v > mv:
-                    v = mv
-                row[x] = v
-                cur = v
-            new = np.array(row, dtype=np.float32)
-            if not changed and not np.array_equal(new, j[y]):
-                changed = True
-            j[y] = new
-        # backward pass: south neighbors, east propagation
-        for y in range(h - 1, -1, -1):
-            cand = j[y].copy()
-            if y < h - 1:
-                dn = j[y + 1]
-                np.maximum(cand, dn, out=cand)
-                np.maximum(cand[1:], dn[:-1], out=cand[1:])
-                np.maximum(cand[:-1], dn[1:], out=cand[:-1])
-            row = cand.tolist()
-            mrow = mask[y].tolist()
-            cur = row[w - 1] if row[w - 1] <= mrow[w - 1] else mrow[w - 1]
-            row[w - 1] = cur
-            for x in range(w - 2, -1, -1):
-                v = row[x]
-                if cur > v:
-                    v = cur
-                mv = mrow[x]
-                if v > mv:
-                    v = mv
-                row[x] = v
-                cur = v
-            new = np.array(row, dtype=np.float32)
-            if not changed and not np.array_equal(new, j[y]):
-                changed = True
-            j[y] = new
-        if not changed:
-            return j
+        _sweep(rows, j_rows, m_rows, range(h), row_buf)
+        _sweep(rows, j_rows, m_rows, range(h - 1, -1, -1), row_buf)
+        _sweep(cols, j_cols, m_cols, range(w), col_buf)
+        _sweep(cols, j_cols, m_cols, range(w - 1, -1, -1), col_buf)
+        # stop test: one geodesic dilation of the whole image
+        np.maximum(pad[:-2, :-2], pad[2:, 2:], out=dil)
+        for dy, dx in ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)):
+            np.maximum(dil, pad[dy:dy + h, dx:dx + w], out=dil)
+        np.minimum(dil, mask, out=dil)
+        if np.array_equal(dil, j):
+            return j.copy()
+        j[...] = dil
 
 
 # ---------------------------------------------------------------------------

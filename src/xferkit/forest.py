@@ -296,7 +296,9 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, hp: RfHyperparams, k: int,
                                         hp.min_samples_leaf, N_CLASSES)
         if not ok:
             return node
-        go_left = X[idx, f] <= thr
+        # compare in float64, as best_split scored and tree_apply routes:
+        # a float32 comparison would round the midpoint onto a data value
+        go_left = X[idx, f] <= np.float64(thr)
         feature[node] = f
         threshold[node] = thr
         counts[node] = np.zeros(N_CLASSES, dtype=np.int64)

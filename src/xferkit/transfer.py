@@ -5,6 +5,7 @@ ground-truth scoring, model ranking and report emission."""
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NamedTuple, Sequence
@@ -267,13 +268,17 @@ def rank_models(reports: Sequence[TransferReport],
     """Descending ranking of models on one domain.
 
     Equal scores share the lower rank and order by model id. `by` selects
-    index_miou or confidence.
+    index_miou or confidence. Each model may appear once.
     """
     if not reports:
         raise ValueError("no reports to rank")
     domains = {r.domain_id for r in reports}
     if len(domains) > 1:
         raise ValueError(f"reports span multiple domains: {sorted(domains)}")
+    dupes = sorted(m for m, n in Counter(r.model_id for r in reports).items()
+                   if n > 1)
+    if dupes:
+        raise ValueError(f"duplicate model ids: {dupes}")
     if by == "index_miou":
         scores = [(r.model_id, r.index_miou) for r in reports]
     elif by == "confidence":

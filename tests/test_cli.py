@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from xferkit import synth, xras
+from xferkit import synth, transfer, xras
 from xferkit.cli import main
 from xferkit.raster import BandRole, MultibandRaster
 
@@ -226,6 +226,22 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["evaluate", "--pred", str(tmp_path / "missing.xras"),
                  "--gt", str(bogus), "--out", str(tmp_path / "e.json")]) == 1
+
+
+def test_rank_rejects_duplicate_model_ids(tmp_path, capsys):
+    paths = []
+    for i, score in enumerate((0.7, 0.4)):
+        report = transfer.TransferReport(
+            model_id="same", domain_id="d", index_miou=score,
+            index_miou_strict=score, index_per_class_iou=(score, None, None, None),
+            thresholds=(), valid_pixels=10, config_digest="x", timestamp="t")
+        paths.append(tmp_path / f"r{i}.json")
+        xras.write_report(report, paths[-1])
+    rank_csv = tmp_path / "rank.csv"
+    assert main(["rank", "--reports", *map(str, paths),
+                 "--out", str(rank_csv)]) != 0
+    assert "duplicate model ids" in capsys.readouterr().err
+    assert not rank_csv.exists()
 
 
 def test_threads_env_does_not_change_output(domain_dir, model_path, tmp_path,

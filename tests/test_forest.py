@@ -7,6 +7,7 @@ import pytest
 
 from conftest import const_rgbn, rgbn_raster
 from oracles import glcm_window_oracle
+from xferkit import _kernels
 from xferkit import forest as rf
 from xferkit.raster import LabelMap
 
@@ -204,6 +205,28 @@ class TestTraining:
         for tree in model.trees:
             leaves = tree.feature < 0
             assert tree.counts[leaves].sum(axis=1).min() >= 30
+
+    def test_training_routes_like_prediction_at_float32_midpoint(self):
+        # a and b are adjacent float32 values whose float64 midpoint (the
+        # split threshold) rounds up to b in float32
+        a = np.float32(1.0) + np.float32(2.0 ** -23)
+        b = np.nextafter(a, np.float32(2.0))
+        assert np.float32(0.5 * (float(a) + float(b))) == b
+        X = np.array([a] * 30 + [b] * 30 + [2.0] * 4, dtype=np.float32)[:, None]
+        y = np.array([0] * 30 + [1] * 34, dtype=np.uint8)
+        hp = rf.RfHyperparams(n_trees=1, max_depth=1, min_samples_leaf=5,
+                              min_samples_split=10, seed=3)
+        tree = rf.rf_train(rf.PixelDataset(X, y), hp).trees[0]
+        assert tree.feature[0] == 0 and float(a) < tree.threshold[0] < float(b)
+        # tree i bootstraps first from its own stream (seed, i)
+        boot = np.random.default_rng([hp.seed, 0]).integers(
+            0, y.size, size=y.size, dtype=np.int64)
+        leaf = _kernels.tree_apply(tree.feature, tree.threshold, tree.left,
+                                   tree.right, X[boot])
+        for node in np.nonzero(tree.feature < 0)[0]:
+            routed = np.bincount(y[boot][leaf == node], minlength=rf.N_CLASSES)
+            np.testing.assert_array_equal(tree.counts[node], routed)
+            assert routed.sum() >= hp.min_samples_leaf
 
     def test_small_dataset_warns_single_leaf(self):
         X, y = xor_dataset(n=20)

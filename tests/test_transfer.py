@@ -158,6 +158,11 @@ class TestRanking:
             transfer.rank_models([_report("A", "d1", 0.5),
                                   _report("B", "d2", 0.5)])
 
+    def test_duplicate_model_ids_rejected(self):
+        with pytest.raises(ValueError, match="duplicate model ids: \\['A'\\]"):
+            transfer.rank_models([_report("A", "d", 0.5), _report("B", "d", 0.4),
+                                  _report("A", "d", 0.3)])
+
     def test_confidence_kind(self):
         ranking = transfer.rank_models(
             [_report("A", "d", 0.1, conf=0.5), _report("B", "d", 0.9, conf=0.7)],
