@@ -1,28 +1,19 @@
 """Build script for the optional compiled kernels.
 
-The package works without the extension (a numpy fallback is selected at
-import time); building it just makes the hot kernels fast.
+`python setup.py build_ext --inplace` compiles `src/xferkit/_kernels/kernels.c`
+into a shared library next to it, which `xferkit._kernels.compiled` loads
+with ctypes. It needs a C compiler and nothing else. The package works
+without it (the numpy lane is selected at import time); building it just
+makes the hot kernels fast.
 """
 
-import numpy
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "xferkit._kernels._ext",
-                sources=["src/xferkit/_kernels/_ext.pyx"],
-                include_dirs=[numpy.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
+setup(ext_modules=[
+    Extension(
+        "xferkit._kernels._native",
+        sources=["src/xferkit/_kernels/kernels.c"],
+        libraries=["m"],
+        extra_compile_args=["-O3"],
     )
-
-setup(ext_modules=ext_modules)
+])

@@ -1,51 +1,136 @@
-"""Kernel lane selection.
+"""The hot kernels, behind one checked front.
 
-The hot kernels exist twice: a compiled Cython extension and a pure-numpy
-fallback with identical contracts. The compiled lane is used when the
-extension imports; set ``XFERKIT_BACKEND=pure`` (or ``compiled``) to force
-a lane explicitly.
+Each kernel has two lanes with one contract (see `pure`): `compiled`, the
+C loops of `kernels.c`, and `pure`, numpy only. The compiled lane is used
+when its library loads, and `FALLBACK_REASON` keeps why it did not; set
+``XFERKIT_BACKEND=pure`` (or ``compiled``) to force a lane.
+
+The functions below coerce dtypes and contiguity and check every contract
+once, then call the selected lane. The lanes check nothing: the C loops
+index memory with what they are given.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from . import pure
 
-_ERR = None
+FALLBACK_REASON: str | None = None
 try:
-    from . import _ext
-except ImportError as exc:  # extension not built
-    _ext = None
-    _ERR = exc
+    from . import compiled
+except ImportError as exc:  # library not built
+    compiled = None
+    FALLBACK_REASON = str(exc)
 
 _requested = os.environ.get("XFERKIT_BACKEND", "").strip().lower()
-if _requested == "pure":
-    _impl = pure
-elif _requested == "compiled":
-    if _ext is None:
-        raise ImportError(
-            f"XFERKIT_BACKEND=compiled but the extension is unavailable: {_ERR}")
-    _impl = _ext
-elif _requested in ("", "auto"):
-    _impl = _ext if _ext is not None else pure
-else:
+if _requested not in ("", "auto", "pure", "compiled"):
     raise ImportError(f"unknown XFERKIT_BACKEND value: {_requested!r}")
+if _requested == "compiled" and compiled is None:
+    raise ImportError(f"XFERKIT_BACKEND=compiled but the compiled lane is "
+                      f"unavailable: {FALLBACK_REASON}")
+_lane = pure if _requested == "pure" or compiled is None else compiled
+BACKEND = _lane.NAME
 
-BACKEND = _impl.NAME
+MAX_CLASSES = 16         # best_split's class tallies are fixed [16] arrays
+MAX_LEVELS = 46340       # GLCM pair codes a*levels+b must fit a 32-bit int
 
-glcm_feature_image = _impl.glcm_feature_image
-grey_erode_square = _impl.grey_erode_square
-reconstruct_dilation = _impl.reconstruct_dilation
-best_split = _impl.best_split
-tree_apply = _impl.tree_apply
 
-__all__ = [
-    "BACKEND",
-    "best_split",
-    "glcm_feature_image",
-    "grey_erode_square",
-    "pure",
-    "reconstruct_dilation",
-    "tree_apply",
-]
+def _in_range(a: np.ndarray, lo: int, hi: int) -> bool:
+    """Every value of `a` lies in [lo, hi)."""
+    return a.size == 0 or (a.min() >= lo and a.max() < hi)
+
+
+def _image(a, dtype, name: str) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D array")
+    return a
+
+
+def grey_erode_square(img, size: int) -> np.ndarray:
+    """Minimum filter with a size x size square structuring element; float32."""
+    img = _image(img, np.float32, "img")
+    if size < 1 or size % 2 != 1:
+        raise ValueError("structuring element size must be odd and >= 1")
+    if np.isnan(img).any():
+        raise ValueError("img must not hold NaN")
+    return _lane.grey_erode_square(img, int(size))
+
+
+def reconstruct_dilation(marker, mask) -> np.ndarray:
+    """Reconstruction by dilation of `marker` under `mask` (8-connected); float32."""
+    marker = _image(marker, np.float32, "marker")
+    mask = _image(mask, np.float32, "mask")
+    if marker.shape != mask.shape:
+        raise ValueError("marker and mask shapes differ")
+    if not np.all(marker <= mask):     # also false wherever either is NaN
+        raise ValueError("marker must be <= mask everywhere, and neither may hold NaN")
+    return _lane.reconstruct_dilation(marker, mask)
+
+
+def glcm_feature_image(levels_img, window: int, levels: int, offsets) -> np.ndarray:
+    """Per-pixel Haralick statistics from a symmetric windowed GLCM; float64
+    (6, h, w). `levels_img` holds gray levels in [0, levels), -1 invalid."""
+    q = np.asarray(levels_img)
+    if not 1 <= levels <= MAX_LEVELS:
+        raise ValueError(f"levels must lie in [1, {MAX_LEVELS}]")
+    if not _in_range(q, -1, levels):
+        raise ValueError("levels_img holds a level outside [-1, levels)")
+    if window < 1 or window % 2 != 1:
+        raise ValueError("GLCM window must be odd and >= 1")
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64).reshape(-1, 2)
+    return _lane.glcm_feature_image(_image(q, np.int32, "levels_img"), int(window),
+                                    int(levels), offsets)
+
+
+def best_split(X, y, idx, feats, min_leaf: int, n_classes: int = 4):
+    """Best Gini split for the node holding rows `idx` of X; returns
+    (feature, threshold, found). See `pure.best_split` for the contract."""
+    X = _image(X, np.float32, "X")
+    y = np.asarray(y)
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    # sorted once here: ties go to the lower feature index in both lanes
+    feats = np.sort(np.asarray(feats, dtype=np.int64))
+    n, d = X.shape
+    if y.shape != (n,) or idx.ndim != 1 or feats.ndim != 1:
+        raise ValueError("best_split needs X (n, d), y (n,), and 1-D idx and feats")
+    if not 1 <= n_classes <= MAX_CLASSES:
+        raise ValueError(f"n_classes must lie in [1, {MAX_CLASSES}]")
+    if not _in_range(idx, 0, n):
+        raise ValueError("idx holds a row outside [0, n)")
+    if feats.size and (feats[0] < 0 or feats[-1] >= d):
+        raise ValueError("feats holds a feature outside [0, d)")
+    if not _in_range(y[idx], 0, n_classes):
+        raise ValueError("a label of the node lies outside [0, n_classes)")
+    return _lane.best_split(X, np.ascontiguousarray(y, dtype=np.uint8), idx, feats,
+                            int(min_leaf), int(n_classes))
+
+
+def tree_apply(feature, threshold, left, right, X) -> np.ndarray:
+    """Route every row of X to its leaf; returns int32 node indices.
+
+    Node i is a leaf where feature[i] < 0. An internal node's children must
+    lie after it and inside the tree, as pre-order growth gives: that rules
+    out both out-of-range reads and cycles.
+    """
+    feature, left, right = (np.ascontiguousarray(a, dtype=np.int32)
+                            for a in (feature, left, right))
+    threshold = np.ascontiguousarray(threshold, dtype=np.float64)
+    X = _image(X, np.float32, "X")
+    n_nodes = feature.size
+    if n_nodes == 0 or any(a.shape != (n_nodes,) for a in (feature, threshold, left, right)):
+        raise ValueError("tree arrays must be 1-D, non-empty and of one length")
+    internal = np.flatnonzero(feature >= 0)
+    if not _in_range(feature[internal], 0, X.shape[1]):
+        raise ValueError("tree references a feature >= X.shape[1]")
+    for child in (left[internal], right[internal]):
+        if np.any(child <= internal) or not _in_range(child, 0, n_nodes):
+            raise ValueError("a child index must exceed its node's and be < n_nodes")
+    return _lane.tree_apply(feature, threshold, left, right, X)
+
+
+__all__ = ["BACKEND", "FALLBACK_REASON", "best_split", "glcm_feature_image",
+           "grey_erode_square", "pure", "reconstruct_dilation", "tree_apply"]

@@ -1,8 +1,9 @@
 """Numpy implementations of the hot kernels.
 
-This is the fallback lane used when the compiled extension is unavailable
-(see `xferkit._kernels`). Every function here has the same contract as its
-compiled twin:
+This is the fallback lane used when the compiled library is unavailable.
+The front in `xferkit._kernels` coerces and checks every argument first,
+so these functions hold only the algorithms. Each has the same contract as
+its compiled twin:
 
 * `grey_erode_square`, `reconstruct_dilation` and `tree_apply` are exact
   (comparison-only arithmetic), so both lanes return bit-identical arrays.
@@ -30,23 +31,18 @@ def grey_erode_square(img: np.ndarray, size: int) -> np.ndarray:
     Out-of-bounds positions are ignored (equivalent to replicate padding
     for a minimum). Separable: one sliding-min pass per axis.
     """
-    if size % 2 != 1 or size < 1:
-        raise ValueError("structuring element size must be odd and >= 1")
-    out = np.asarray(img, dtype=np.float32)
     r = size // 2
     for axis in (0, 1):
-        if out.shape[axis] == 1 or r == 0:
-            continue
-        padded = np.pad(out, [(r, r) if a == axis else (0, 0) for a in (0, 1)],
+        padded = np.pad(img, [(r, r) if a == axis else (0, 0) for a in (0, 1)],
                         mode="constant", constant_values=np.inf)
         acc = None
         for k in range(size):
             sl = [slice(None), slice(None)]
-            sl[axis] = slice(k, k + out.shape[axis])
+            sl[axis] = slice(k, k + img.shape[axis])
             view = padded[tuple(sl)]
             acc = view.copy() if acc is None else np.minimum(acc, view)
-        out = acc
-    return np.ascontiguousarray(out, dtype=np.float32)
+        img = acc
+    return img
 
 
 def _sweep(lines, inner, mask, order, buf) -> None:
@@ -81,12 +77,6 @@ def reconstruct_dilation(marker: np.ndarray, mask: np.ndarray) -> np.ndarray:
     ever exceeds the reconstruction, and a fixed point above the marker
     cannot lie below it. Only max/min comparisons are used.
     """
-    marker = np.asarray(marker, dtype=np.float32)
-    mask = np.asarray(mask, dtype=np.float32)
-    if marker.shape != mask.shape:
-        raise ValueError("marker and mask shapes differ")
-    if np.any(marker > mask):
-        raise ValueError("marker must be <= mask everywhere")
     h, w = mask.shape
     if mask.size == 0:
         return marker.copy()
@@ -160,7 +150,6 @@ def glcm_feature_image(levels_img: np.ndarray, window: int, levels: int,
     q = np.asarray(levels_img, dtype=np.int64)
     h, w = q.shape
     r = window // 2
-    offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
 
     tot = np.zeros((h, w), dtype=np.int64)
     s_con = np.zeros((h, w), dtype=np.int64)
@@ -253,14 +242,13 @@ def best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
     thresholds of candidate features; ties go to the lower feature index,
     then the lower threshold. Returns (feature, threshold, found).
     """
-    idx = np.asarray(idx, dtype=np.int64)
     m = idx.size
-    yv = np.asarray(y)[idx]
+    yv = y[idx]
     onehot_base = np.equal(yv[:, None], np.arange(n_classes)[None, :]).astype(np.int64)
     best_feat = -1
     best_thr = 0.0
     best_score = -np.inf
-    for f in np.sort(np.asarray(feats, dtype=np.int64)):
+    for f in feats:
         v = X[idx, f]
         order = np.argsort(v, kind="stable")
         sv = v[order]

@@ -206,8 +206,7 @@ def cmd_rf_train(args) -> int:
     hp = rf.RfHyperparams(
         n_trees=args.trees, max_depth=args.max_depth,
         min_samples_leaf=args.min_leaf, min_samples_split=args.min_split,
-        n_samples=args.samples, features_per_split=args.features_per_split,
-        seed=args.seed)
+        features_per_split=args.features_per_split, seed=args.seed)
     model = rf.rf_train(data, hp)
     rf.save_forest(model, args.out)
     if args.json_out:

@@ -48,7 +48,6 @@ class RfHyperparams:
     max_depth: int = 20
     min_samples_leaf: int = 1000
     min_samples_split: int = 4000
-    n_samples: int = 4_000_000
     features_per_split: int | None = None    # default ceil(sqrt(d))
     seed: int = 0
 
@@ -126,12 +125,6 @@ class Forest:
     d: int
     n_classes: int = N_CLASSES
 
-    def __post_init__(self):
-        for tree in self.trees:
-            internal = tree.feature >= 0
-            if internal.any() and tree.feature[internal].max() >= self.d:
-                raise ValueError("tree references a feature index >= d")
-
     @property
     def n_trees(self) -> int:
         return len(self.trees)
@@ -169,9 +162,8 @@ def quantize_luminance(raster: MultibandRaster, levels: int) -> np.ndarray:
 
 def glcm_feature_image(levels_img: np.ndarray, params: GlcmParams) -> np.ndarray:
     """Windowed GLCM statistics at float64 precision, (6, h, w)."""
-    offsets = np.asarray(params.offsets, dtype=np.int64)
     return kernels.glcm_feature_image(levels_img, params.window,
-                                      params.levels, offsets)
+                                      params.levels, params.offsets)
 
 
 def glcm_features(raster: MultibandRaster,

@@ -59,11 +59,8 @@ class MorphParams:
     """
 
     se_size: int = 63
-    se_shape: str = "square"
 
     def __post_init__(self):
-        if self.se_shape != "square":
-            raise ValueError("only square structuring elements are supported")
         if self.se_size < 3 or self.se_size % 2 != 1:
             raise ValueError("se_size must be odd and >= 3")
 

@@ -4,7 +4,7 @@ agreement probability, and correlation statistics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,11 +58,6 @@ class EvalResult:
             "n_classes_scored": self.n_classes_scored,
             "valid_pixels": self.valid_pixels,
         }
-
-
-class AgreementInputs(NamedTuple):
-    p_sup: float
-    p_index: float
 
 
 @dataclass
@@ -120,12 +115,19 @@ def miou(conf: ConfusionMatrix) -> EvalResult:
     )
 
 
+def posterior_confidence_sum(probs: ProbabilityMap) -> tuple[float, int]:
+    """Sum over covered pixels of the per-pixel maximum class probability, and their count."""
+    covered = probs.weight > 0
+    return (float(probs.probs.max(axis=0)[covered].sum(dtype=np.float64)),
+            int(covered.sum()))
+
+
 def mean_posterior_confidence(probs: ProbabilityMap) -> float:
     """Mean over covered pixels of the per-pixel maximum class probability."""
-    covered = probs.weight > 0
-    if not covered.any():
+    total, n = posterior_confidence_sum(probs)
+    if n == 0:
         raise ValueError("no valid pixels")
-    return float(probs.probs.max(axis=0)[covered].mean(dtype=np.float64))
+    return total / n
 
 
 def agreement_probability(p_sup: float, p_index: float) -> float:

@@ -58,8 +58,6 @@ class BandRole(IntEnum):
     AGL = 6
 
 
-HEIGHT_ROLES = (BandRole.DSM, BandRole.AGL)
-
 _ROLE_ALIASES = {
     "r": BandRole.RED, "red": BandRole.RED,
     "g": BandRole.GREEN, "green": BandRole.GREEN,
@@ -142,14 +140,15 @@ class MultibandRaster:
         return self.data[self.band_index(role)]
 
     def valid_mask(self, roles: Sequence[BandRole] | None = None) -> np.ndarray:
-        """True where none of the selected bands is nodata."""
-        if self.nodata is None:
-            return np.ones((self.height, self.width), dtype=bool)
-        if roles is None:
-            stack = self.data
-        else:
-            stack = self.data[[self.band_index(r) for r in roles]]
-        return ~np.any(stack == self.nodata, axis=0)
+        """True where every selected band holds a finite sample that is not
+        nodata; NaN and infinities are treated like nodata."""
+        bands = range(self.bands) if roles is None else map(self.band_index, roles)
+        valid = np.ones((self.height, self.width), dtype=bool)
+        for i in bands:
+            valid &= np.isfinite(self.data[i])
+            if self.nodata is not None:
+                valid &= self.data[i] != self.nodata
+        return valid
 
 
 @dataclass

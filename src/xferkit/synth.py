@@ -109,7 +109,6 @@ def _stamp_ellipses(labels, agl, rng, target_fraction, cls, radii, heights):
     h, w = labels.shape
     goal = int(round(target_fraction * h * w))
     placed = int((labels == cls).sum())
-    ys, xs = np.mgrid[0:h, 0:w]
     for _ in range(4000):
         if placed >= goal:
             return placed
@@ -118,11 +117,15 @@ def _stamp_ellipses(labels, agl, rng, target_fraction, cls, radii, heights):
         ry = rng.uniform(*radii)
         rx = rng.uniform(*radii)
         height = rng.uniform(*heights) if heights else 0.0
+        # the ellipse's bounding box, padded by a pixel against rounding
+        box = (slice(max(0, int(cy - ry) - 1), min(h, int(cy + ry) + 2)),
+               slice(max(0, int(cx - rx) - 1), min(w, int(cx + rx) + 2)))
+        ys, xs = np.ogrid[box]
         shape = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
-        shape &= labels == LABEL_GROUND
-        labels[shape] = cls
+        shape &= labels[box] == LABEL_GROUND
+        labels[box][shape] = cls
         if heights:
-            agl[shape] = np.float32(height)
+            agl[box][shape] = np.float32(height)
         placed += int(shape.sum())
     return placed
 

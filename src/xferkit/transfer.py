@@ -16,7 +16,7 @@ from . import indices as idx
 from ._parallel import parallel_map
 from .forest import Forest, rf_predict
 from .metrics import (ConfusionMatrix, CorrelationStats, EvalResult,
-                      confusion, miou, pearson)
+                      confusion, miou, pearson, posterior_confidence_sum)
 from .raster import (BandRole, LabelMap, MultibandRaster, ProbabilityMap,
                      extract_patch, merge_probability_patches, plan_tiles)
 from .xras import canonical_json
@@ -174,11 +174,8 @@ def assess_scenes(scenes: Sequence[SceneInputs], *, model_id: str,
         gt_conf = None
         if scene.gt is not None:
             gt_conf = confusion(scene.prediction, scene.gt)
-        conf_stats = None
-        if scene.probs is not None:
-            covered = scene.probs.weight > 0
-            conf_stats = (float(scene.probs.probs.max(axis=0)[covered]
-                                .sum(dtype=np.float64)), int(covered.sum()))
+        conf_stats = (posterior_confidence_sum(scene.probs)
+                      if scene.probs is not None else None)
         return pseudo.thresholds, conf, gt_conf, conf_stats
 
     results = parallel_map(one, scenes)

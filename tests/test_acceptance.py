@@ -147,8 +147,7 @@ def study():
             for s in stacks:
                 s[DROPOUT_PLANES] = 0.0
         data = rf.sample_pixels(stacks, gts, samples, seed=11)
-        hp = rf.RfHyperparams(n_trees=trees, n_samples=samples, seed=11,
-                              **STUDY_HP)
+        hp = rf.RfHyperparams(n_trees=trees, seed=11, **STUDY_HP)
         return rf.rf_train(data, hp), dropout
 
     models = {

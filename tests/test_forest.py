@@ -147,7 +147,7 @@ def xor_dataset(n=4000, seed=0, sigma=0.15):
 
 
 XOR_HP = rf.RfHyperparams(n_trees=50, max_depth=8, min_samples_leaf=5,
-                          min_samples_split=10, n_samples=4000, seed=3)
+                          min_samples_split=10, seed=3)
 
 
 class TestTraining:
@@ -155,8 +155,7 @@ class TestTraining:
         X = np.random.default_rng(0).uniform(size=(50, 3)).astype(np.float32)
         data = rf.PixelDataset(X, np.full(50, 2, dtype=np.uint8))
         model = rf.rf_train(data, rf.RfHyperparams(
-            n_trees=3, max_depth=5, min_samples_leaf=1, min_samples_split=2,
-            n_samples=50, seed=0))
+            n_trees=3, max_depth=5, min_samples_leaf=1, min_samples_split=2, seed=0))
         for tree in model.trees:
             assert tree.n_nodes == 1
             np.testing.assert_array_equal(tree.leaf_probs[0], [0, 0, 1, 0])
@@ -177,7 +176,7 @@ class TestTraining:
     def test_deterministic_serialization(self):
         X, y = xor_dataset(n=600)
         hp = rf.RfHyperparams(n_trees=5, max_depth=6, min_samples_leaf=5,
-                              min_samples_split=10, n_samples=600, seed=7)
+                              min_samples_split=10, seed=7)
         one = rf.save_forest(rf.rf_train(rf.PixelDataset(X, y), hp))
         two = rf.save_forest(rf.rf_train(rf.PixelDataset(X, y), hp))
         assert one == two
@@ -188,7 +187,7 @@ class TestTraining:
 
         def hp(n):
             return rf.RfHyperparams(n_trees=n, max_depth=6, min_samples_leaf=5,
-                                    min_samples_split=10, n_samples=600, seed=7)
+                                    min_samples_split=10, seed=7)
 
         small = rf.rf_train(data, hp(4))
         large = rf.rf_train(data, hp(9))
@@ -200,7 +199,7 @@ class TestTraining:
     def test_min_leaf_respected(self):
         X, y = xor_dataset(n=800)
         hp = rf.RfHyperparams(n_trees=4, max_depth=10, min_samples_leaf=30,
-                              min_samples_split=60, n_samples=800, seed=2)
+                              min_samples_split=60, seed=2)
         model = rf.rf_train(rf.PixelDataset(X, y), hp)
         for tree in model.trees:
             leaves = tree.feature < 0
@@ -231,7 +230,7 @@ class TestTraining:
     def test_small_dataset_warns_single_leaf(self):
         X, y = xor_dataset(n=20)
         hp = rf.RfHyperparams(n_trees=2, max_depth=4, min_samples_leaf=50,
-                              min_samples_split=100, n_samples=20, seed=0)
+                              min_samples_split=100, seed=0)
         with pytest.warns(UserWarning, match="single leaves"):
             model = rf.rf_train(rf.PixelDataset(X, y), hp)
         assert all(t.n_nodes == 1 for t in model.trees)
@@ -280,7 +279,7 @@ class TestSerialization:
     def test_roundtrip_bytes_and_predictions(self):
         X, y = xor_dataset(n=700)
         hp = rf.RfHyperparams(n_trees=6, max_depth=6, min_samples_leaf=5,
-                              min_samples_split=10, n_samples=700, seed=5)
+                              min_samples_split=10, seed=5)
         model = rf.rf_train(rf.PixelDataset(X, y), hp)
         blob = rf.save_forest(model)
         loaded = rf.load_forest(blob)

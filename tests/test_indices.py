@@ -1,11 +1,17 @@
 """Spectral/morphological indices, Otsu, and pseudo-label fusion."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import agl_raster, const_rgbn, dsm_raster, rgbn_raster
+import xferkit
 from oracles import naive_tophat, otsu_oracle_exact, otsu_oracle_float
 from xferkit.indices import (IndexKind, IndexRaster, MorphParams, ThresholdSet,
                              fuse_pseudo_labels, mbi_h, ndvi, ndwi,
@@ -103,6 +109,25 @@ class TestMbiH:
     def test_params_validated(self):
         with pytest.raises(ValueError, match="odd"):
             MorphParams(se_size=4)
+
+    def test_nan_pixel_is_void_and_returns(self):
+        # A NaN sample once made the reconstruction loop forever; run in a
+        # subprocess with a timeout so a regression fails instead of hanging.
+        code = """
+import numpy as np
+from xferkit.indices import MorphParams, mbi_h
+from xferkit.raster import BandRole, MultibandRaster
+dsm = np.random.default_rng(3).uniform(0, 20, (32, 32)).astype(np.float32)
+dsm[10, 12] = np.nan
+out = mbi_h(MultibandRaster(dsm[None], (BandRole.DSM,), nodata=-9999.0),
+            MorphParams(se_size=5))
+assert not out.valid[10, 12] and out.valid.sum() == 32 * 32 - 1
+assert np.isfinite(out.values).all() and out.values.min() >= 0
+"""
+        src = str(Path(xferkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestOtsu:

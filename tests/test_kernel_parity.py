@@ -1,6 +1,6 @@
 """Compiled vs pure kernel lanes must agree (see lane contracts in
-xferkit._kernels.pure). Checks of each lane on its own are in
-test_kernels.py."""
+xferkit._kernels.pure). Both lanes are called through the checked front in
+`xferkit._kernels`. Checks of each lane on its own are in test_kernels.py."""
 
 import numpy as np
 import pytest
@@ -8,36 +8,47 @@ import pytest
 from xferkit import _kernels
 from xferkit._kernels import pure
 
-compiled = pytest.importorskip("xferkit._kernels._ext",
-                               reason="compiled extension not built")
+compiled = _kernels.compiled
+if compiled is None:
+    pytest.skip(f"compiled lane not built: {_kernels.FALLBACK_REASON}",
+                allow_module_level=True)
+
+
+@pytest.fixture
+def both(monkeypatch):
+    """Call a kernel through the front on each lane: (pure, compiled)."""
+    def call(name, *args):
+        results = []
+        for lane in (pure, compiled):
+            monkeypatch.setattr(_kernels, "_lane", lane)
+            results.append(getattr(_kernels, name)(*args))
+        return results
+    return call
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (9, 9), (23, 31)])
 @pytest.mark.parametrize("size", [1, 3, 7])
-def test_erode_bit_identical(shape, size, rng):
+def test_erode_bit_identical(both, shape, size, rng):
     img = rng.uniform(-5, 40, shape).astype(np.float32)
-    np.testing.assert_array_equal(pure.grey_erode_square(img, size),
-                                  compiled.grey_erode_square(img, size))
+    np.testing.assert_array_equal(*both("grey_erode_square", img, size))
 
 
 @pytest.mark.parametrize("shape", [(1, 8), (16, 16), (13, 29)])
-def test_reconstruction_bit_identical(shape, rng):
+def test_reconstruction_bit_identical(both, shape, rng):
     mask = rng.uniform(0, 30, shape).astype(np.float32)
     marker = np.minimum(mask, rng.uniform(0, 30, shape).astype(np.float32))
-    np.testing.assert_array_equal(pure.reconstruct_dilation(marker, mask),
-                                  compiled.reconstruct_dilation(marker, mask))
+    np.testing.assert_array_equal(*both("reconstruct_dilation", marker, mask))
 
 
 @pytest.mark.parametrize("window,levels", [(3, 4), (5, 8), (13, 32)])
-def test_glcm_lanes_agree(window, levels, rng):
+def test_glcm_lanes_agree(both, window, levels, rng):
     q = rng.integers(-1, levels, size=(17, 19)).astype(np.int16)
     offsets = np.array([(0, 1), (1, 0), (1, 1), (-1, 1)], dtype=np.int64)
-    a = pure.glcm_feature_image(q, window, levels, offsets)
-    b = compiled.glcm_feature_image(q, window, levels, offsets)
+    a, b = both("glcm_feature_image", q, window, levels, offsets)
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
 
 
-def test_best_split_identical_results(rng):
+def test_best_split_identical_results(both, rng):
     for trial in range(30):
         n = int(rng.integers(4, 300))
         d = int(rng.integers(1, 8))
@@ -49,19 +60,18 @@ def test_best_split_identical_results(rng):
         k = int(rng.integers(1, d + 1))
         feats = rng.choice(d, size=k, replace=False).astype(np.int64)
         min_leaf = int(rng.integers(1, max(2, n // 4)))
-        assert pure.best_split(X, y, idx, feats, min_leaf) == \
-            compiled.best_split(X, y, idx, feats, min_leaf)
+        a, b = both("best_split", X, y, idx, feats, min_leaf)
+        assert a == b
 
 
-def test_tree_apply_identical(rng):
+def test_tree_apply_identical(both, rng):
     feature = np.array([0, 1, -1, -1, -1], dtype=np.int32)
     threshold = np.array([0.5, -0.2, 0.0, 0.0, 0.0])
     left = np.array([1, 3, -1, -1, -1], dtype=np.int32)
     right = np.array([2, 4, -1, -1, -1], dtype=np.int32)
     X = rng.normal(size=(500, 3)).astype(np.float32)
     np.testing.assert_array_equal(
-        pure.tree_apply(feature, threshold, left, right, X),
-        compiled.tree_apply(feature, threshold, left, right, X))
+        *both("tree_apply", feature, threshold, left, right, X))
 
 
 def test_forest_training_bit_identical_across_lanes(monkeypatch, rng):
@@ -72,12 +82,11 @@ def test_forest_training_bit_identical_across_lanes(monkeypatch, rng):
         (X[:, 2] > 1).astype(np.uint8)
     data = rf.PixelDataset(X, y)
     hp = rf.RfHyperparams(n_trees=4, max_depth=7, min_samples_leaf=5,
-                          min_samples_split=10, n_samples=800, seed=21)
+                          min_samples_split=10, seed=21)
 
     blobs = {}
     for name, impl in (("pure", pure), ("compiled", compiled)):
-        monkeypatch.setattr(_kernels, "best_split", impl.best_split)
-        monkeypatch.setattr(_kernels, "tree_apply", impl.tree_apply)
+        monkeypatch.setattr(_kernels, "_lane", impl)
         model = rf.rf_train(data, hp)
         blobs[name] = rf.save_forest(model)
         probs = model.predict_matrix(X[:64])

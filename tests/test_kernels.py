@@ -1,28 +1,30 @@
 """Kernel checks against brute force and the oracles, on every lane present.
 
-The pure lane is always tested; the compiled lane joins when its extension
-is built. Lane-against-lane agreement lives in test_kernel_parity.py.
+Each test calls the checked front in `xferkit._kernels` with the lane under
+test selected, so the contract checks run as in production. The pure lane
+is always tested; the compiled lane joins when its library is built.
+Lane-against-lane agreement lives in test_kernel_parity.py.
 """
 
 import numpy as np
 import pytest
 
 from oracles import naive_reconstruction
+from xferkit import _kernels
 from xferkit._kernels import pure
 
-try:
-    from xferkit._kernels import _ext
-except ImportError:
-    _ext = None
-
 LANES = [pytest.param(pure, id="pure")]
-if _ext is not None:
-    LANES.append(pytest.param(_ext, id="compiled"))
+if _kernels.compiled is not None:
+    LANES.append(pytest.param(_kernels.compiled, id="compiled"))
+
+OFFSETS = np.array([(0, 1), (1, 0), (1, 1), (-1, 1)], dtype=np.int64)
 
 
 @pytest.fixture(params=LANES)
-def lane(request):
-    return request.param
+def kernels(request, monkeypatch):
+    """The front in `xferkit._kernels`, calling the lane under test."""
+    monkeypatch.setattr(_kernels, "_lane", request.param)
+    return _kernels
 
 
 def serpentine(h, w, rng):
@@ -39,7 +41,7 @@ def serpentine(h, w, rng):
     return marker, mask
 
 
-def test_erode_matches_brute_force(lane, rng):
+def test_erode_matches_brute_force(kernels, rng):
     img = rng.uniform(0, 10, (11, 13)).astype(np.float32)
     size, r = 5, 2
     expect = np.empty_like(img)
@@ -47,43 +49,157 @@ def test_erode_matches_brute_force(lane, rng):
         for x in range(13):
             expect[y, x] = img[max(0, y - r):y + r + 1,
                                max(0, x - r):x + r + 1].min()
-    np.testing.assert_array_equal(lane.grey_erode_square(img, size), expect)
+    np.testing.assert_array_equal(kernels.grey_erode_square(img, size), expect)
 
 
-def test_reconstruction_rejects_bad_marker(lane):
+def test_reconstruction_rejects_bad_marker(kernels):
     mask = np.zeros((3, 3), dtype=np.float32)
     marker = np.ones((3, 3), dtype=np.float32)
     with pytest.raises(ValueError, match="marker"):
-        lane.reconstruct_dilation(marker, mask)
+        kernels.reconstruct_dilation(marker, mask)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1), (13, 29), (64, 64)])
-def test_reconstruction_matches_oracle_random(lane, shape, rng):
+def test_reconstruction_matches_oracle_random(kernels, shape, rng):
     for _ in range(5):
         mask = rng.uniform(0, 30, shape).astype(np.float32)
         marker = np.minimum(mask, rng.uniform(0, 30, shape).astype(np.float32))
-        got = lane.reconstruct_dilation(marker, mask)
+        got = kernels.reconstruct_dilation(marker, mask)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, naive_reconstruction(marker, mask))
 
 
 @pytest.mark.parametrize("shape", [(9, 9), (20, 37)])
-def test_reconstruction_matches_oracle_plateaus(lane, shape, rng):
+def test_reconstruction_matches_oracle_plateaus(kernels, shape, rng):
     # few distinct levels: wide plateaus, and ties between marker and mask
     for _ in range(5):
         mask = rng.integers(0, 4, shape).astype(np.float32)
         marker = np.where(rng.uniform(size=shape) < 0.1, mask, 0).astype(np.float32)
-        got = lane.reconstruct_dilation(marker, mask)
+        got = kernels.reconstruct_dilation(marker, mask)
         np.testing.assert_array_equal(got, naive_reconstruction(marker, mask))
 
 
 @pytest.mark.parametrize("shape", [(31, 33), (32, 2), (2, 32)])
-def test_reconstruction_matches_oracle_serpentine(lane, shape, rng):
+def test_reconstruction_matches_oracle_serpentine(kernels, shape, rng):
     marker, mask = serpentine(*shape, rng)
-    got = lane.reconstruct_dilation(marker, mask)
+    got = kernels.reconstruct_dilation(marker, mask)
     np.testing.assert_array_equal(got, naive_reconstruction(marker, mask))
     # the marker's value reaches the far end of the corridor: corridor k
     # (row 2k) runs left to right when k is even
     last = (shape[0] - 1) // 2 * 2
     assert got[last, shape[1] - 1 if (last // 2) % 2 == 0 else 0] > 0
 
+
+
+# ---------------------------------------------------------------------------
+# contract checks: the front raises ValueError before any lane runs
+# ---------------------------------------------------------------------------
+
+def glcm_input(levels=8):
+    return np.random.default_rng(0).integers(-1, levels, (9, 11)).astype(np.int32)
+
+
+def split_input():
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(40, 3)).astype(np.float32)
+    y = rng.integers(0, 4, 40).astype(np.uint8)
+    return X, y, np.arange(40, dtype=np.int64), np.arange(3, dtype=np.int64)
+
+
+def tree_input():
+    """Root splits on feature 0 into node 1 (split on feature 1 into leaves
+    3 and 4) and leaf 2."""
+    return (np.array([0, 1, -1, -1, -1], dtype=np.int32),
+            np.array([0.5, -0.2, 0.0, 0.0, 0.0]),
+            np.array([1, 3, -1, -1, -1], dtype=np.int32),
+            np.array([2, 4, -1, -1, -1], dtype=np.int32))
+
+
+@pytest.mark.parametrize("size,value", [(4, 1.0), (0, 1.0), (3, np.nan)])
+def test_erode_rejects_bad_size_or_nan(kernels, size, value):
+    img = np.ones((6, 7), dtype=np.float32)
+    img[2, 3] = value
+    with pytest.raises(ValueError):
+        kernels.grey_erode_square(img, size)
+
+
+@pytest.mark.parametrize("where", ["marker", "mask"])
+def test_reconstruction_rejects_nan(kernels, where):
+    arrays = {"marker": np.zeros((4, 4), dtype=np.float32),
+              "mask": np.full((4, 4), 5.0, dtype=np.float32)}
+    arrays[where][1, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        kernels.reconstruct_dilation(arrays["marker"], arrays["mask"])
+
+
+@pytest.mark.parametrize("level", [8, 100, -2])
+def test_glcm_rejects_level_out_of_range(kernels, level):
+    q = glcm_input(levels=8)
+    q[4, 5] = level
+    with pytest.raises(ValueError, match="level"):
+        kernels.glcm_feature_image(q, 3, 8, OFFSETS)
+
+
+@pytest.mark.parametrize("window", [0, 4, -3])
+def test_glcm_rejects_bad_window(kernels, window):
+    with pytest.raises(ValueError, match="window"):
+        kernels.glcm_feature_image(glcm_input(), window, 8, OFFSETS)
+
+
+@pytest.mark.parametrize("levels", [0, _kernels.MAX_LEVELS + 1])
+def test_glcm_rejects_levels_that_overflow(kernels, levels):
+    with pytest.raises(ValueError, match="levels must lie"):
+        kernels.glcm_feature_image(np.zeros((5, 5), dtype=np.int32), 3, levels, OFFSETS)
+
+
+@pytest.mark.parametrize("row", [-1, 40])
+def test_best_split_rejects_idx_out_of_range(kernels, row):
+    X, y, idx, feats = split_input()
+    idx[7] = row
+    with pytest.raises(ValueError, match="idx"):
+        kernels.best_split(X, y, idx, feats, 2)
+
+
+@pytest.mark.parametrize("feat", [-1, 3])
+def test_best_split_rejects_feature_out_of_range(kernels, feat):
+    X, y, idx, feats = split_input()
+    feats[1] = feat
+    with pytest.raises(ValueError, match="feats"):
+        kernels.best_split(X, y, idx, feats, 2)
+
+
+def test_best_split_rejects_label_out_of_range(kernels):
+    X, y, idx, feats = split_input()
+    y[5] = 4
+    with pytest.raises(ValueError, match="label"):
+        kernels.best_split(X, y, idx, feats, 2, n_classes=4)
+
+
+@pytest.mark.parametrize("n_classes", [0, 17])
+def test_best_split_rejects_bad_class_count(kernels, n_classes):
+    X, y, idx, feats = split_input()
+    with pytest.raises(ValueError, match="n_classes"):
+        kernels.best_split(X, y, idx, feats, 2, n_classes=n_classes)
+
+
+def test_tree_apply_rejects_feature_out_of_range(kernels):
+    feature, threshold, left, right = tree_input()
+    feature[1] = 2
+    X = np.zeros((6, 2), dtype=np.float32)
+    with pytest.raises(ValueError, match="feature"):
+        kernels.tree_apply(feature, threshold, left, right, X)
+
+
+@pytest.mark.parametrize("node,side,child", [
+    (2, "left", 1),      # backward edge: node 2 made internal, pointing to 1
+    (0, "left", -1),
+    (1, "right", 5),     # == n_nodes
+])
+def test_tree_apply_rejects_bad_child(kernels, node, side, child):
+    feature, threshold, left, right = tree_input()
+    if feature[node] < 0:
+        feature[node], left[node], right[node] = 0, 3, 4
+    {"left": left, "right": right}[side][node] = child
+    X = np.zeros((6, 2), dtype=np.float32)
+    with pytest.raises(ValueError, match="child"):
+        kernels.tree_apply(feature, threshold, left, right, X)

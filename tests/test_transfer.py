@@ -207,7 +207,7 @@ class TestPredictTiled:
         stack = rf.stack_features(rgbn, glcm, agl)
         data = rf.sample_pixels([stack], [gt], 2000, seed=4)
         hp = rf.RfHyperparams(n_trees=5, max_depth=8, min_samples_leaf=5,
-                              min_samples_split=10, n_samples=2000, seed=4)
+                              min_samples_split=10, seed=4)
         model = rf.rf_train(data, hp)
         full = rf.rf_predict(model, stack)
         outs = {}
