@@ -2,7 +2,8 @@
 """Benchmark the compiled kernel lane against the pure-numpy fallback.
 
 Runs each hot kernel on representative inputs and prints a table of
-per-call wall times plus the speedup. The lanes are called directly, past
+per-call wall times plus the speedup. GLCM runs on a random level image
+(every level pair present, its worst case) and on a synthetic scene. The lanes are called directly, past
 the checked front in `xferkit._kernels`, so the inputs are built in the
 dtypes the front would pass. Usage:
 
@@ -16,6 +17,7 @@ import time
 
 import numpy as np
 
+from xferkit import forest, synth
 from xferkit._kernels import FALLBACK_REASON, compiled, pure
 
 
@@ -45,7 +47,11 @@ def bench(size, repeats):
     rng = np.random.default_rng(99)
     dsm = rng.uniform(0, 40, (size, size)).astype(np.float32)
     dsm += (rng.uniform(size=(size, size)) < 0.02) * 15.0
+    # GLCM cost grows with the number of level pairs present: a random
+    # image holds all 528 of 32 levels, a synthetic scene's luminance far fewer
     levels_img = rng.integers(0, 32, (size, size)).astype(np.int32)
+    rgbn, _, _ = synth.generate_scene(synth.DomainSpec(width=size, height=size), 0)
+    scene_levels = forest.quantize_luminance(rgbn, 32)
     offsets = np.array([(0, 1), (1, 0), (1, 1), (-1, 1)], dtype=np.int64)
 
     n, d = 40_000, 11
@@ -73,6 +79,8 @@ def bench(size, repeats):
         ("recon serp 256", lambda impl: impl.reconstruct_dilation(*serp[256])),
         ("glcm w13 l32", lambda impl: impl.glcm_feature_image(
             levels_img, 13, 32, offsets)),
+        ("glcm w13 scene", lambda impl: impl.glcm_feature_image(
+            scene_levels, 13, 32, offsets)),
         ("best_split 40k", lambda impl: impl.best_split(X, y, idx, feats, 20, 4)),
         ("tree_apply 40k", lambda impl: impl.tree_apply(
             feature, threshold, left, right, X)),

@@ -9,9 +9,9 @@ its compiled twin:
   (comparison-only arithmetic), so both lanes return bit-identical arrays.
 * `best_split` evaluates the split score with the same float64 operation
   order as the compiled lane, so grown trees are bit-identical too.
-* `glcm_feature_image` tallies identical integer pair counts; the derived
-  statistics may differ from the compiled lane by float64 summation order
-  only (well below 1e-9).
+* `glcm_feature_image` tallies identical integer pair counts, by box sums
+  over summed-area tables; its statistics may differ from the compiled
+  lane by float64 summation order only (well below 1e-9).
 """
 
 from __future__ import annotations
@@ -110,32 +110,85 @@ def reconstruct_dilation(marker: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # GLCM windowed statistics
 # ---------------------------------------------------------------------------
 
-def _box_gather(integral: np.ndarray, r: int, dy: int, dx: int) -> np.ndarray:
-    """Per-center sum of an anchor image over the window-constrained box.
+# Table cells per block of level pairs in `_energy_entropy_sums`: the
+# block's temporaries take a few bytes per cell.
+BLOCK_CELLS = 1 << 16
+
+
+def _box_sums(img: np.ndarray, r: int, dy: int, dx: int, dtype=None) -> np.ndarray:
+    """Per-center sum of an anchor image (over its last two axes) over the
+    window-constrained box, from a summed-area table (Crow 1984).
 
     For direction (dy, dx) the anchors p contributing to center c satisfy
     both p and p+d inside the centered (2r+1)^2 window, i.e.
-    p in [c - r + max(0, -d), c + r - max(0, d)] per axis.
+    p in [c - r + max(0, -d), c + r - max(0, d)] per axis, clipped to the
+    image. The table has a zero first row and column and is edge-padded by
+    r on every side, so the clipped corners are plain slices. Needs
+    |dy|, |dx| <= 2r.
     """
-    h = integral.shape[0] - 1
-    w = integral.shape[1] - 1
-    ys = np.arange(h)
-    xs = np.arange(w)
-    y0 = np.clip(ys - r + max(0, -dy), 0, h)
-    y1 = np.clip(ys + r - max(0, dy) + 1, 0, h)
-    x0 = np.clip(xs - r + max(0, -dx), 0, w)
-    x1 = np.clip(xs + r - max(0, dx) + 1, 0, w)
-    y1 = np.maximum(y1, y0)
-    x1 = np.maximum(x1, x0)
-    return (integral[np.ix_(y1, x1)] - integral[np.ix_(y0, x1)]
-            - integral[np.ix_(y1, x0)] + integral[np.ix_(y0, x0)])
+    h, w = img.shape[-2:]
+    sat = np.zeros(img.shape[:-2] + (h + 2 * r + 1, w + 2 * r + 1), dtype or img.dtype)
+    core = sat[..., r + 1:r + 1 + h, r + 1:r + 1 + w]
+    np.cumsum(img, axis=-2, dtype=sat.dtype, out=core)
+    np.cumsum(core, axis=-1, out=core)
+    sat[..., r + 1:r + 1 + h, r + 1 + w:] = core[..., -1:]
+    sat[..., r + 1 + h:, :] = sat[..., r + h:r + h + 1, :]
+    y0, y1 = max(0, -dy), 2 * r + 1 - max(0, dy)
+    x0, x1 = max(0, -dx), 2 * r + 1 - max(0, dx)
+    y0, y1, x0, x1 = (slice(y0, y0 + h), slice(y1, y1 + h),
+                      slice(x0, x0 + w), slice(x1, x1 + w))
+    return (sat[..., y1, x1] - sat[..., y0, x1]
+            - sat[..., y1, x0] + sat[..., y0, x0])
 
 
-def _integral(img: np.ndarray) -> np.ndarray:
-    out = np.zeros((img.shape[0] + 1, img.shape[1] + 1), dtype=img.dtype)
-    np.cumsum(img, axis=0, out=out[1:, 1:])
-    np.cumsum(out[1:, 1:], axis=1, out=out[1:, 1:])
-    return out
+def _add_offset_sums(q: np.ndarray, levels: int, r: int, dy: int, dx: int,
+                     sums: np.ndarray, s_hom: np.ndarray) -> np.ndarray:
+    """Add the windowed sums of the pairs (p, p+d) to `sums` and `s_hom`;
+    return the image of their pair codes min*levels+max, -1 where p+d is
+    outside the image or either level is invalid."""
+    h, w = q.shape
+    b = np.full((h, w), -1, dtype=np.int64)
+    b[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)] = \
+        q[max(0, dy):h - max(0, -dy), max(0, dx):w - max(0, -dx)]
+    valid = (q >= 0) & (b >= 0)
+    av = np.where(valid, q, 0)
+    bv = np.where(valid, b, 0)
+    diff = av - bv
+    # tot, contrast, dissimilarity, x, xx and xy, each with its factor: a
+    # pair counts in both directions, and in the x sum as its two levels
+    anchor_sums = ((2, valid), (2, diff * diff), (2, np.abs(diff)),
+                   (1, av + bv), (1, av * av + bv * bv), (2, av * bv))
+    for acc, (f, img) in zip(sums, anchor_sums):
+        acc += f * _box_sums(img * valid, r, dy, dx, np.int64)
+    s_hom += 2.0 * _box_sums(np.where(valid, 1.0 / (1.0 + (diff * diff)), 0.0), r, dy, dx)
+    pair = np.minimum(av, bv) * levels + np.maximum(av, bv)
+    return np.where(valid, pair, -1).astype(np.int32)   # levels <= MAX_LEVELS
+
+
+def _energy_entropy_sums(codes: list, levels: int, r: int, shape: tuple):
+    """Per-center sums of c^2 and c*log(c) over the GLCM cells c. The cells
+    of the present level pairs are counted a block of pairs at a time, at
+    most `BLOCK_CELLS` table cells or one pair, and folded into the float64
+    sums one pair at a time in sorted pair order."""
+    a2 = np.zeros(shape, dtype=np.float64)
+    alog = np.zeros(shape, dtype=np.float64)
+    present = np.unique(np.concatenate([c[c >= 0] for _, _, c in codes] or [[]]))
+    step = max(1, BLOCK_CELLS // ((shape[0] + 2 * r + 1) * (shape[1] + 2 * r + 1)))
+    for start in range(0, present.size, step):
+        block = present[start:start + step]
+        cell = np.zeros((block.size,) + shape, dtype=np.int32)
+        for dy, dx, code in codes:
+            cell += _box_sums(code == block[:, None, None], r, dy, dx, np.int32)
+        diagonal = block // levels == block % levels
+        cell[diagonal] *= 2                 # a diagonal cell tallies both directions
+        cf = cell.astype(np.float64)
+        mcf = np.where(diagonal, 1.0, 2.0)[:, None, None] * cf   # x2: cell and transpose
+        sq = mcf * cf
+        mcf *= np.log(np.maximum(cf, 1.0, out=cf), out=cf)
+        for t in range(block.size):
+            a2 += sq[t]
+            alog += mcf[t]
+    return a2, alog
 
 
 def glcm_feature_image(levels_img: np.ndarray, window: int, levels: int,
@@ -145,74 +198,26 @@ def glcm_feature_image(levels_img: np.ndarray, window: int, levels: int,
     `levels_img` holds quantized gray levels, -1 marking invalid pixels.
     Returns a float64 (6, h, w) stack ordered contrast, dissimilarity,
     homogeneity, energy, entropy, correlation. Pixels whose window holds
-    no valid pair get all six set to 0.
+    no valid pair get all six set to 0. An offset as long as the window or
+    the image adds no pair.
+
+    Every windowed sum is a box sum over a summed-area table, one table
+    per offset and summed quantity. Energy and entropy need the count of
+    each present level pair; its tables are built a block of pairs at a
+    time, which caps the temporaries at `BLOCK_CELLS` cells (one pair's
+    tables on a larger scene).
     """
     q = np.asarray(levels_img, dtype=np.int64)
     h, w = q.shape
     r = window // 2
-
-    tot = np.zeros((h, w), dtype=np.int64)
-    s_con = np.zeros((h, w), dtype=np.int64)
-    s_dis = np.zeros((h, w), dtype=np.int64)
+    sums = np.zeros((6, h, w), dtype=np.int64)
     s_hom = np.zeros((h, w), dtype=np.float64)
-    s_x = np.zeros((h, w), dtype=np.int64)
-    s_xx = np.zeros((h, w), dtype=np.int64)
-    s_xy = np.zeros((h, w), dtype=np.int64)
-
-    codes = []          # per-offset int image of a*levels+b, -1 invalid anchor
-    present: set[tuple[int, int]] = set()
+    codes = []
     for dy, dx in offsets:
-        a = np.full((h, w), -1, dtype=np.int64)
-        b = np.full((h, w), -1, dtype=np.int64)
-        ys = slice(max(0, -dy), h - max(0, dy))
-        xs = slice(max(0, -dx), w - max(0, dx))
-        ys2 = slice(max(0, dy), h - max(0, -dy))
-        xs2 = slice(max(0, dx), w - max(0, -dx))
-        a[ys, xs] = q[ys, xs]
-        b[ys, xs] = q[ys2, xs2]
-        valid = (a >= 0) & (b >= 0)
-        av = np.where(valid, a, 0)
-        bv = np.where(valid, b, 0)
-        code = np.where(valid, av * levels + bv, -1)
-        codes.append(code)
-        for c in np.unique(code[valid]):
-            i, jx = divmod(int(c), levels)
-            present.add((min(i, jx), max(i, jx)))
-
-        vi = valid.astype(np.int64)
-        diff = av - bv
-        cnt = _box_gather(_integral(vi), r, dy, dx)
-        tot += 2 * cnt
-        s_con += 2 * _box_gather(_integral(vi * diff * diff), r, dy, dx)
-        s_dis += 2 * _box_gather(_integral(vi * np.abs(diff)), r, dy, dx)
-        s_hom += 2.0 * _box_gather(
-            _integral(np.where(valid, 1.0 / (1.0 + (diff * diff)), 0.0)), r, dy, dx)
-        s_x += _box_gather(_integral(vi * (av + bv)), r, dy, dx)
-        s_xx += _box_gather(_integral(vi * (av * av + bv * bv)), r, dy, dx)
-        s_xy += 2 * _box_gather(_integral(vi * av * bv), r, dy, dx)
-
-    # energy/entropy need the joint histogram; stream one unordered level
-    # pair at a time so memory stays O(image)
-    a2 = np.zeros((h, w), dtype=np.float64)
-    alog = np.zeros((h, w), dtype=np.float64)
-    for i, jx in sorted(present):
-        cell = np.zeros((h, w), dtype=np.int64)
-        for k, (dy, dx) in enumerate(offsets):
-            code = codes[k]
-            cell += _box_gather(_integral((code == i * levels + jx).astype(np.int64)),
-                                r, dy, dx)
-            if i != jx:
-                cell += _box_gather(_integral((code == jx * levels + i).astype(np.int64)),
-                                    r, dy, dx)
-        if i == jx:
-            cell = 2 * cell          # diagonal cell tallies both directions
-            mult = 1.0
-        else:
-            mult = 2.0               # off-diagonal cell and its transpose
-        cf = cell.astype(np.float64)
-        a2 += mult * cf * cf
-        nz = cell > 0
-        alog[nz] += mult * cf[nz] * np.log(cf[nz])
+        if abs(dy) < min(window, h) and abs(dx) < min(window, w):
+            codes.append((dy, dx, _add_offset_sums(q, levels, r, dy, dx, sums, s_hom)))
+    a2, alog = _energy_entropy_sums(codes, levels, r, (h, w))
+    tot, s_con, s_dis, s_x, s_xx, s_xy = sums
 
     ok = tot > 0
     totf = np.where(ok, tot, 1).astype(np.float64)

@@ -221,17 +221,15 @@ def sample_pixels(feature_stacks: Sequence[np.ndarray],
     """
     if len(feature_stacks) != len(labels) or not feature_stacks:
         raise ValueError("need matching, non-empty feature and label lists")
-    feats_flat = []
-    labs_flat = []
+    flats, pixels, labs = [], [], []
     for stack, lab in zip(feature_stacks, labels):
         stack = np.asarray(stack)
         if stack.shape[1:] != lab.codes.shape:
             raise ValueError("features and labels are not co-registered")
-        keep = lab.valid_mask().ravel()
-        feats_flat.append(stack.reshape(stack.shape[0], -1).T[keep])
-        labs_flat.append(lab.codes.ravel()[keep])
-    features = np.concatenate(feats_flat, axis=0)
-    y = np.concatenate(labs_flat, axis=0)
+        flats.append(stack.reshape(stack.shape[0], -1))
+        pixels.append(np.flatnonzero(lab.valid_mask()))
+        labs.append(lab.codes.ravel()[pixels[-1]])
+    y = np.concatenate(labs, axis=0)
     total = y.size
     if total == 0:
         raise ValueError("no non-void pixels to sample")
@@ -240,26 +238,31 @@ def sample_pixels(feature_stacks: Sequence[np.ndarray],
         if n_samples > total:
             warnings.warn(f"requested {n_samples} samples but only {total} "
                           "non-void pixels exist; using all of them")
-        return PixelDataset(features, y)
-    if not stratified:
+        pick = np.arange(total)
+    elif not stratified:
         pick = np.sort(rng.choice(total, size=n_samples, replace=False))
-        return PixelDataset(features[pick], y[pick])
-    counts = np.bincount(y, minlength=N_CLASSES)
-    quota = np.floor(n_samples * counts / total).astype(np.int64)
-    frac = n_samples * counts / total - quota
-    for c in np.argsort(-frac, kind="stable"):
-        if quota.sum() >= n_samples:
-            break
-        if quota[c] < counts[c]:
-            quota[c] += 1
-    picks = []
-    for c in range(N_CLASSES):
-        pool = np.nonzero(y == c)[0]
-        if quota[c] > 0:
-            picks.append(pool[rng.choice(pool.size, size=int(quota[c]),
-                                         replace=False)])
-    pick = np.sort(np.concatenate(picks))
-    return PixelDataset(features[pick], y[pick])
+    else:
+        counts = np.bincount(y, minlength=N_CLASSES)
+        quota = np.floor(n_samples * counts / total).astype(np.int64)
+        frac = n_samples * counts / total - quota
+        for c in np.argsort(-frac, kind="stable"):
+            if quota.sum() >= n_samples:
+                break
+            if quota[c] < counts[c]:
+                quota[c] += 1
+        picks = []
+        for c in range(N_CLASSES):
+            pool = np.nonzero(y == c)[0]
+            if quota[c] > 0:
+                picks.append(pool[rng.choice(pool.size, size=int(quota[c]),
+                                             replace=False)])
+        pick = np.sort(np.concatenate(picks))
+    # the draw needs only the labels: gather just the picked feature rows
+    starts = np.cumsum([0] + [p.size for p in pixels])
+    parts = np.split(pick, np.searchsorted(pick, starts[1:-1]))
+    rows = [flat[:, pix[part - start]].T
+            for flat, pix, part, start in zip(flats, pixels, parts, starts)]
+    return PixelDataset(np.concatenate(rows, axis=0), y[pick])
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, hp: RfHyperparams, k: int,

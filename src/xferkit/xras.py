@@ -76,31 +76,38 @@ def write_xras(obj: MultibandRaster | LabelMap | ProbabilityMap,
 
 
 def read_xras(src: str | Path | bytes) -> MultibandRaster:
-    """Lossless decode of an XRAS blob or file."""
-    buf = src if isinstance(src, (bytes, bytearray)) else Path(src).read_bytes()
-    if len(buf) < _HEADER.size:
-        raise ValueError("corrupt file: shorter than the header")
-    magic, version, width, height, bands, dtype_code, flags, nodata, gsd = \
-        _HEADER.unpack_from(buf, 0)
-    if magic != MAGIC or version != VERSION:
-        raise ValueError("unsupported format")
-    try:
-        dtype = Dtype(dtype_code)
-    except ValueError:
-        raise ValueError("unsupported format: unknown dtype code") from None
-    role_end = _HEADER.size + bands
-    if len(buf) < role_end:
-        raise ValueError("corrupt file: truncated band roles")
-    try:
-        roles = tuple(BandRole(b) for b in buf[_HEADER.size:role_end])
-    except ValueError:
-        raise ValueError("corrupt file: unknown band role") from None
-    expect = width * height * bands * dtype.numpy_dtype.itemsize
-    payload = buf[role_end:]
-    if len(payload) != expect:
-        raise ValueError("corrupt file: payload length mismatch")
-    data = np.frombuffer(payload, dtype=dtype.numpy_dtype).reshape(bands, height, width)
-    return MultibandRaster(data.copy(), roles,
+    """Lossless decode of an XRAS blob or file.
+
+    The payload is copied once, from the file or from `bytes` into the
+    raster's own array, which is writable and never aliases `src`.
+    """
+    with io.BytesIO(src) if isinstance(src, (bytes, bytearray)) else open(src, "rb") as f:
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError("corrupt file: shorter than the header")
+        magic, version, width, height, bands, dtype_code, flags, nodata, gsd = \
+            _HEADER.unpack(head)
+        if magic != MAGIC or version != VERSION:
+            raise ValueError("unsupported format")
+        try:
+            dtype = Dtype(dtype_code)
+        except ValueError:
+            raise ValueError("unsupported format: unknown dtype code") from None
+        role_bytes = f.read(bands)
+        if len(role_bytes) < bands:
+            raise ValueError("corrupt file: truncated band roles")
+        try:
+            roles = tuple(BandRole(b) for b in role_bytes)
+        except ValueError:
+            raise ValueError("corrupt file: unknown band role") from None
+        expect = width * height * bands * dtype.numpy_dtype.itemsize
+        if f.seek(0, io.SEEK_END) - _HEADER.size - bands != expect:
+            raise ValueError("corrupt file: payload length mismatch")
+        f.seek(_HEADER.size + bands)
+        data = np.empty((bands, height, width), dtype=dtype.numpy_dtype)
+        if f.readinto(data) != expect:
+            raise ValueError("corrupt file: payload length mismatch")
+    return MultibandRaster(data, roles,
                            nodata=nodata if flags & FLAG_NODATA else None,
                            gsd=gsd if gsd != 0.0 else None,
                            normalized=bool(flags & FLAG_NORMALIZED))

@@ -137,6 +137,28 @@ class TestStackAndSample:
         assert np.abs(got - pop).max() < 0.005
 
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_matches_concatenate_first_draw(self, rng, stratified):
+        """Drawing from the labels, then gathering the picked rows scene by
+        scene, returns the bytes of the concatenate-first construction: the
+        valid rows of all scenes stacked into one void-free scene."""
+        stacks, labels = [], []
+        for shape in ((9, 13), (12, 7), (10, 10)):
+            stacks.append(rng.normal(size=(5,) + shape).astype(np.float32))
+            codes = rng.choice([0, 1, 1, 2, 3, 255], size=shape).astype(np.uint8)
+            labels.append(LabelMap(codes))
+        rows = np.concatenate([s.reshape(5, -1).T[lab.valid_mask().ravel()]
+                               for s, lab in zip(stacks, labels)])
+        codes = np.concatenate([lab.codes[lab.valid_mask()] for lab in labels])
+        one_scene = ([rows.T[:, :, None]], [LabelMap(codes[:, None])])
+        for n in (1, 57, 200, codes.size):
+            got = rf.sample_pixels(stacks, labels, n, seed=3, stratified=stratified)
+            want = rf.sample_pixels(*one_scene, n, seed=3, stratified=stratified)
+            assert got.features.shape == want.features.shape == (n, 5)
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+
+
 def xor_dataset(n=4000, seed=0, sigma=0.15):
     rng = np.random.default_rng(seed)
     centers = np.array([(0, 0), (1, 1), (0, 1), (1, 0)], dtype=np.float64)

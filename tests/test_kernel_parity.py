@@ -40,9 +40,12 @@ def test_reconstruction_bit_identical(both, shape, rng):
     np.testing.assert_array_equal(*both("reconstruct_dilation", marker, mask))
 
 
-@pytest.mark.parametrize("window,levels", [(3, 4), (5, 8), (13, 32)])
-def test_glcm_lanes_agree(both, window, levels, rng):
-    q = rng.integers(-1, levels, size=(17, 19)).astype(np.int16)
+@pytest.mark.parametrize("window,levels,shape", [
+    (3, 4, (17, 19)), (5, 8, (17, 19)), (13, 32, (17, 19)),
+    (13, 32, (64, 64)),     # many blocks of level pairs in the pure lane
+], ids=["3-4", "5-8", "13-32", "13-32-64x64"])
+def test_glcm_lanes_agree(both, window, levels, shape, rng):
+    q = rng.integers(-1, levels, size=shape).astype(np.int16)
     offsets = np.array([(0, 1), (1, 0), (1, 1), (-1, 1)], dtype=np.int64)
     a, b = both("glcm_feature_image", q, window, levels, offsets)
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)

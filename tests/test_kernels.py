@@ -9,7 +9,7 @@ Lane-against-lane agreement lives in test_kernel_parity.py.
 import numpy as np
 import pytest
 
-from oracles import naive_reconstruction
+from oracles import glcm_window_oracle, naive_reconstruction
 from xferkit import _kernels
 from xferkit._kernels import pure
 
@@ -88,6 +88,57 @@ def test_reconstruction_matches_oracle_serpentine(kernels, shape, rng):
     # (row 2k) runs left to right when k is even
     last = (shape[0] - 1) // 2 * 2
     assert got[last, shape[1] - 1 if (last // 2) % 2 == 0 else 0] > 0
+
+
+# ---------------------------------------------------------------------------
+# GLCM
+# ---------------------------------------------------------------------------
+
+def glcm_scene():
+    """64x64 random levels in [0, 32) with a few invalid pixels: nearly all
+    528 level pairs are present, so the pure lane counts them in many
+    blocks under its default budget."""
+    q = np.random.default_rng(5).integers(0, 32, (64, 64)).astype(np.int32)
+    q[np.random.default_rng(6).uniform(size=q.shape) < 0.03] = -1
+    return q
+
+
+@pytest.mark.parametrize("window", [3, 13])
+@pytest.mark.parametrize("offset", [(12, 0), (0, 11), "window"])
+def test_glcm_long_offset_adds_no_pair(kernels, window, offset, rng):
+    """An offset as long as the image or the window adds no pair: alone it
+    leaves all six statistics 0, and beside a short offset it changes no
+    value. At window 13 every offset here is longer than the image."""
+    q = rng.integers(-1, 8, (10, 10)).astype(np.int32)
+    long = (0, window) if offset == "window" else offset
+    alone = kernels.glcm_feature_image(q, window, 8, np.array([long]))
+    assert alone.shape == (6, 10, 10) and not alone.any()
+    short = kernels.glcm_feature_image(q, window, 8, np.array([(1, 1)]))
+    both = kernels.glcm_feature_image(q, window, 8, np.array([(1, 1), long]))
+    np.testing.assert_array_equal(both, short)
+
+
+def test_glcm_matches_oracle_across_blocks(kernels, rng):
+    q = glcm_scene()
+    feats = kernels.glcm_feature_image(q, 13, 32, OFFSETS)
+    centers = [(0, 0), (0, 63), (63, 0), (63, 63)]
+    centers += [tuple(c) for c in rng.integers(0, 64, (8, 2))]
+    for cy, cx in centers:
+        expect = glcm_window_oracle(q, 13, 32, OFFSETS, cy, cx)
+        np.testing.assert_allclose(feats[:, cy, cx], expect, atol=1e-9)
+
+
+def test_glcm_block_size_does_not_change_output(monkeypatch):
+    """The pure lane's pair blocks change no bit of the output: one pair
+    per block, five per block (the last one partial) and the default."""
+    monkeypatch.setattr(_kernels, "_lane", pure)
+    q = glcm_scene()
+    table = (64 + 13) ** 2                  # cells of one pair's table
+    assert 1 < pure.BLOCK_CELLS // table < 528 // 4
+    default = _kernels.glcm_feature_image(q, 13, 32, OFFSETS)
+    for cells in (1, 5 * table):
+        monkeypatch.setattr(pure, "BLOCK_CELLS", cells)
+        assert np.array_equal(_kernels.glcm_feature_image(q, 13, 32, OFFSETS), default)
 
 
 

@@ -39,6 +39,22 @@ def test_roundtrip_preserves_fields():
     np.testing.assert_array_equal(back.data, raster.data)
 
 
+
+@pytest.mark.parametrize("kind", ["bytes", "bytearray", "file"])
+def test_decoded_array_is_writable_and_owns_its_memory(kind, tmp_path):
+    # 3 bands: the payload starts at an odd offset in the blob
+    blob = xras.write_xras(_raster(np.float32, shape=(3, 5, 7)))
+    src = {"bytes": blob, "bytearray": bytearray(blob), "file": tmp_path / "r.xras"}[kind]
+    if kind == "file":
+        src.write_bytes(blob)
+    data = xras.read_xras(src).data
+    assert data.flags.writeable and data.flags.aligned
+    if kind != "file":
+        assert not np.shares_memory(data, np.frombuffer(src, dtype=np.uint8))
+        data[...] = 0
+        assert bytes(src) == blob
+
+
 def test_golden_2x1_u8_file():
     # hand-assembled: 2x1 single-band U8 raster with pixels (7, 255)
     golden = (b"XRAS"
