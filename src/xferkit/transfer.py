@@ -5,10 +5,12 @@ ground-truth scoring, model ranking and report emission."""
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
-from typing import NamedTuple, Sequence
+from functools import reduce
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,15 +61,20 @@ def pseudo_labels(raster: MultibandRaster,
     return PseudoLabelResult(labels, thresholds, ndvi_r, ndwi_r, mbih_r)
 
 
-class SceneInputs(NamedTuple):
-    """One scene of a domain: the imagery, the model's prediction, and
-    optional height, probabilities and ground truth."""
+class Scene(NamedTuple):
+    """One scene of a domain: the imagery, with optional height and ground
+    truth. Its pseudo truth depends on nothing else."""
 
     raster: MultibandRaster
-    prediction: LabelMap
     height: MultibandRaster | None = None
-    probs: ProbabilityMap | None = None
     gt: LabelMap | None = None
+
+
+class Prediction(NamedTuple):
+    """One model's output on one scene, with optional probabilities."""
+
+    labels: LabelMap
+    probs: ProbabilityMap | None = None
 
 
 @dataclass
@@ -91,51 +98,30 @@ class TransferReport:
     per_scene_gt_miou: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "model_id": self.model_id,
-            "domain_id": self.domain_id,
-            "index_miou": self.index_miou,
-            "index_miou_strict": self.index_miou_strict,
-            "index_per_class_iou": list(self.index_per_class_iou),
-            "thresholds": [t.to_dict() for t in self.thresholds],
-            "valid_pixels": self.valid_pixels,
-            "config_digest": self.config_digest,
-            "timestamp": self.timestamp,
-        }
-        if self.mean_confidence is not None:
-            doc["mean_confidence"] = self.mean_confidence
-        if self.gt_miou is not None:
-            doc["gt_miou"] = self.gt_miou
-            doc["gt_miou_strict"] = self.gt_miou_strict
-            doc["gt_per_class_iou"] = list(self.gt_per_class_iou)
-        if self.per_scene_index_miou is not None:
-            doc["per_scene_index_miou"] = list(self.per_scene_index_miou)
-        if self.per_scene_gt_miou is not None:
-            doc["per_scene_gt_miou"] = list(self.per_scene_gt_miou)
+        """Fields in declaration order; None fields are omitted and tuples
+        become lists."""
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "thresholds":
+                value = [t.to_dict() for t in value]
+            elif isinstance(value, tuple):
+                value = list(value)
+            if value is not None:
+                doc[f.name] = value
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TransferReport":
-        return cls(
-            model_id=doc["model_id"],
-            domain_id=doc["domain_id"],
-            index_miou=doc["index_miou"],
-            index_miou_strict=doc["index_miou_strict"],
-            index_per_class_iou=tuple(doc["index_per_class_iou"]),
-            thresholds=tuple(idx.ThresholdSet(**t) for t in doc["thresholds"]),
-            valid_pixels=doc["valid_pixels"],
-            config_digest=doc["config_digest"],
-            timestamp=doc["timestamp"],
-            mean_confidence=doc.get("mean_confidence"),
-            gt_miou=doc.get("gt_miou"),
-            gt_miou_strict=doc.get("gt_miou_strict"),
-            gt_per_class_iou=tuple(doc["gt_per_class_iou"])
-            if "gt_per_class_iou" in doc else None,
-            per_scene_index_miou=tuple(doc["per_scene_index_miou"])
-            if "per_scene_index_miou" in doc else None,
-            per_scene_gt_miou=tuple(doc["per_scene_gt_miou"])
-            if "per_scene_gt_miou" in doc else None,
-        )
+        """Inverse of `to_dict`; a missing required key raises KeyError."""
+        kw = {f.name: doc[f.name] for f in fields(cls)
+              if f.name in doc or f.default is MISSING}
+        for name, value in kw.items():
+            if name == "thresholds":
+                kw[name] = tuple(idx.ThresholdSet(**t) for t in value)
+            elif isinstance(value, list):
+                kw[name] = tuple(value)
+        return cls(**kw)
 
 
 @dataclass
@@ -144,74 +130,43 @@ class ModelRanking:
     score_kind: str
 
 
-def _config_digest(config: dict) -> str:
-    return hashlib.sha256(canonical_json(config).encode()).hexdigest()
-
-
-def assess_scenes(scenes: Sequence[SceneInputs], *, model_id: str,
+def assess_scenes(scenes: Sequence[Scene],
+                  predictions: Mapping[str, Sequence[Prediction]], *,
                   domain_id: str, height_is_agl: bool = False,
                   se_size: int = 63, mbih_threshold: float = 2.0,
                   otsu_bins: int = 256,
-                  timestamp: str | None = None) -> TransferReport:
-    """Score a model's predictions against index-derived pseudo labels.
+                  timestamp: str | None = None) -> list[TransferReport]:
+    """Score every model's predictions on a domain against index-derived
+    pseudo labels: one report per model, in mapping order.
 
+    `predictions` maps each model id to one prediction per scene. Each
+    scene's pseudo truth is built once and shared by all models.
     Confusion matrices pool across all scenes of the domain before the
     mIoU is computed (micro-average); per-scene values are kept alongside
     when more than one scene is supplied. Deterministic: identical inputs
-    and configuration give an identical report apart from the timestamp.
+    and configuration give identical reports apart from the timestamp.
     """
     if not scenes:
         raise ValueError("need at least one scene")
+    for preds in predictions.values():
+        if len(preds) != len(scenes):
+            raise ValueError("need one prediction per scene for every model")
+        for scene, pred in zip(scenes, preds):
+            shape = (scene.raster.height, scene.raster.width)
+            if pred.labels.codes.shape != shape or (
+                    pred.probs is not None
+                    and (pred.probs.height, pred.probs.width) != shape):
+                raise ValueError("prediction is not co-registered with the raster")
 
-    def one(scene: SceneInputs):
-        if scene.prediction.codes.shape != (scene.raster.height, scene.raster.width):
-            raise ValueError("prediction is not co-registered with the raster")
+    def truth(scene: Scene):
         pseudo = pseudo_labels(scene.raster, scene.height,
                                height_is_agl=height_is_agl, se_size=se_size,
                                mbih_threshold=mbih_threshold,
                                otsu_bins=otsu_bins)
-        conf = confusion(scene.prediction, pseudo.labels)
-        gt_conf = None
-        if scene.gt is not None:
-            gt_conf = confusion(scene.prediction, scene.gt)
-        conf_stats = (posterior_confidence_sum(scene.probs)
-                      if scene.probs is not None else None)
-        return pseudo.thresholds, conf, gt_conf, conf_stats
+        return pseudo.labels, pseudo.thresholds
 
-    results = parallel_map(one, scenes)
-
-    pooled = ConfusionMatrix.zero()
-    pooled_gt = ConfusionMatrix.zero()
-    any_gt = False
-    conf_sum = 0.0
-    conf_n = 0
-    any_probs = False
-    thresholds = []
-    per_scene_index = []
-    per_scene_gt = []
-    for tset, conf, gt_conf, conf_stats in results:
-        thresholds.append(tset)
-        pooled = pooled + conf
-        per_scene_index.append(miou(conf).miou)
-        if gt_conf is not None:
-            any_gt = True
-            pooled_gt = pooled_gt + gt_conf
-            per_scene_gt.append(miou(gt_conf).miou)
-        if conf_stats is not None:
-            any_probs = True
-            conf_sum += conf_stats[0]
-            conf_n += conf_stats[1]
-
-    index_eval = miou(pooled)
-    gt_eval = miou(pooled_gt) if any_gt else None
-    mean_conf = None
-    if any_probs:
-        if conf_n == 0:
-            raise ValueError("no valid pixels")
-        mean_conf = conf_sum / conf_n
-
+    truths, thresholds = zip(*parallel_map(truth, scenes))
     config = {
-        "model_id": model_id,
         "domain_id": domain_id,
         "height_is_agl": height_is_agl,
         "se_size": se_size,
@@ -220,25 +175,46 @@ def assess_scenes(scenes: Sequence[SceneInputs], *, model_id: str,
         "clip_negative_indices": True,
         "n_scenes": len(scenes),
     }
+    if timestamp is None:
+        timestamp = datetime.now(timezone.utc).isoformat()
     multi = len(scenes) > 1
-    return TransferReport(
-        model_id=model_id,
-        domain_id=domain_id,
-        index_miou=index_eval.miou,
-        index_miou_strict=index_eval.miou_strict,
-        index_per_class_iou=index_eval.per_class_iou,
-        thresholds=tuple(thresholds),
-        valid_pixels=index_eval.valid_pixels,
-        config_digest=_config_digest(config),
-        timestamp=timestamp if timestamp is not None
-        else datetime.now(timezone.utc).isoformat(),
-        mean_confidence=mean_conf,
-        gt_miou=gt_eval.miou if gt_eval else None,
-        gt_miou_strict=gt_eval.miou_strict if gt_eval else None,
-        gt_per_class_iou=gt_eval.per_class_iou if gt_eval else None,
-        per_scene_index_miou=tuple(per_scene_index) if multi else None,
-        per_scene_gt_miou=tuple(per_scene_gt) if multi and any_gt else None,
-    )
+
+    def report(model_id: str, preds: Sequence[Prediction]) -> TransferReport:
+        confs = [confusion(p.labels, t) for p, t in zip(preds, truths)]
+        gt_confs = [confusion(p.labels, s.gt) for p, s in zip(preds, scenes)
+                    if s.gt is not None]
+        sums = [posterior_confidence_sum(p.probs) for p in preds
+                if p.probs is not None]
+        index_eval = miou(sum(confs, ConfusionMatrix.zero()))
+        gt_eval = miou(sum(gt_confs, ConfusionMatrix.zero())) if gt_confs else None
+        mean_conf = None
+        if sums:
+            n = sum(k for _, k in sums)
+            if n == 0:
+                raise ValueError("no valid pixels")
+            # a left fold from 0.0: `sum` of floats is compensated from Python 3.12
+            mean_conf = reduce(operator.add, (s for s, _ in sums), 0.0) / n
+        return TransferReport(
+            model_id=model_id,
+            domain_id=domain_id,
+            index_miou=index_eval.miou,
+            index_miou_strict=index_eval.miou_strict,
+            index_per_class_iou=index_eval.per_class_iou,
+            thresholds=thresholds,
+            valid_pixels=index_eval.valid_pixels,
+            config_digest=hashlib.sha256(canonical_json(
+                {**config, "model_id": model_id}).encode()).hexdigest(),
+            timestamp=timestamp,
+            mean_confidence=mean_conf,
+            gt_miou=gt_eval.miou if gt_eval else None,
+            gt_miou_strict=gt_eval.miou_strict if gt_eval else None,
+            gt_per_class_iou=gt_eval.per_class_iou if gt_eval else None,
+            per_scene_index_miou=tuple(miou(c).miou for c in confs) if multi else None,
+            per_scene_gt_miou=tuple(miou(c).miou for c in gt_confs)
+            if multi and gt_confs else None,
+        )
+
+    return [report(model_id, preds) for model_id, preds in predictions.items()]
 
 
 def assess(prediction: LabelMap, raster: MultibandRaster,
@@ -247,12 +223,13 @@ def assess(prediction: LabelMap, raster: MultibandRaster,
            gt: LabelMap | None = None, height_is_agl: bool = False,
            se_size: int = 63, mbih_threshold: float = 2.0,
            otsu_bins: int = 256, timestamp: str | None = None) -> TransferReport:
-    """Single-scene transferability assessment (see `assess_scenes`)."""
-    return assess_scenes(
-        [SceneInputs(raster, prediction, height, probs, gt)],
-        model_id=model_id, domain_id=domain_id, height_is_agl=height_is_agl,
-        se_size=se_size, mbih_threshold=mbih_threshold, otsu_bins=otsu_bins,
-        timestamp=timestamp)
+    """Single-scene, single-model transferability assessment (see
+    `assess_scenes`)."""
+    [report] = assess_scenes(
+        [Scene(raster, height, gt)], {model_id: [Prediction(prediction, probs)]},
+        domain_id=domain_id, height_is_agl=height_is_agl, se_size=se_size,
+        mbih_threshold=mbih_threshold, otsu_bins=otsu_bins, timestamp=timestamp)
+    return report
 
 
 def evaluate_gt(prediction: LabelMap, gt: LabelMap) -> EvalResult:
@@ -264,8 +241,12 @@ def rank_models(reports: Sequence[TransferReport],
                 by: str = "index_miou") -> ModelRanking:
     """Descending ranking of models on one domain.
 
-    Equal scores share the lower rank and order by model id. `by` selects
-    index_miou or confidence. Each model may appear once.
+    Equal scores share the lower rank and order by model id. Scores are
+    compared as given: reports read from files (`TransferReport.from_dict`)
+    carry the 6 significant digits that `canonical_json` writes, so scores
+    that agree to 6 digits tie there, while reports held in memory compare
+    unrounded. `by` selects index_miou or confidence. Each model may
+    appear once.
     """
     if not reports:
         raise ValueError("no reports to rank")

@@ -159,21 +159,24 @@ def study():
         "rf_a_dropout": train_on("A", dropout=True),
     }
 
-    reports = []
-    for model_id, (model, dropout) in models.items():
-        for domain, entries in scenes.items():
-            scene_inputs = []
-            for rgbn, agl, gt, stack in entries:
-                feats = stack
-                if dropout:
-                    feats = stack.copy()
-                    feats[DROPOUT_PLANES] = 0.0
-                pmap = rf.rf_predict(model, feats)
-                scene_inputs.append(transfer.SceneInputs(
-                    rgbn, pmap.argmax_labels(), agl, pmap, gt))
-            reports.append(transfer.assess_scenes(
-                scene_inputs, model_id=model_id, domain_id=domain,
-                height_is_agl=True, timestamp="study"))
+    def predict(model, dropout, stack):
+        if dropout:
+            stack = stack.copy()
+            stack[DROPOUT_PLANES] = 0.0
+        pmap = rf.rf_predict(model, stack)
+        return transfer.Prediction(pmap.argmax_labels(), pmap)
+
+    by_domain = {
+        domain: transfer.assess_scenes(
+            [transfer.Scene(rgbn, agl, gt) for rgbn, agl, gt, _ in entries],
+            {model_id: [predict(model, dropout, entry[3]) for entry in entries]
+             for model_id, (model, dropout) in models.items()},
+            domain_id=domain, height_is_agl=True, timestamp="study")
+        for domain, entries in scenes.items()
+    }
+    # model-major order, as the correlation sums read it
+    reports = [by_domain[domain][i] for i in range(len(models))
+               for domain in scenes]
     elapsed = time.perf_counter() - start
     return {
         "domains": domains,

@@ -7,7 +7,7 @@ import pytest
 
 from xferkit import synth, transfer, xras
 from xferkit.cli import main
-from xferkit.raster import BandRole, MultibandRaster
+from xferkit.raster import BandRole, MultibandRaster, ProbabilityMap
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +242,37 @@ def test_rank_rejects_duplicate_model_ids(tmp_path, capsys):
                  "--out", str(rank_csv)]) != 0
     assert "duplicate model ids" in capsys.readouterr().err
     assert not rank_csv.exists()
+
+
+def test_rank_ties_at_written_precision(tmp_path):
+    # 0.70000049 and 0.70000012 both write as 0.7, so they tie on reading
+    paths = []
+    for model_id, score in (("b", 0.70000049), ("a", 0.70000012)):
+        report = transfer.TransferReport(
+            model_id=model_id, domain_id="d", index_miou=score,
+            index_miou_strict=score, index_per_class_iou=(score, None, None, None),
+            thresholds=(), valid_pixels=10, config_digest="x", timestamp="t")
+        paths.append(tmp_path / f"{model_id}.json")
+        xras.write_report(report, paths[-1])
+    rank_csv = tmp_path / "rank.csv"
+    assert main(["rank", "--reports", *map(str, paths),
+                 "--out", str(rank_csv)]) == 0
+    assert rank_csv.read_text().splitlines() == [
+        "rank,model_id,score", "1,a,0.7", "1,b,0.7"]
+
+
+def test_assess_rejects_misregistered_probs(domain_dir, tmp_path, capsys):
+    probs = tmp_path / "small_probs.xras"
+    xras.write_xras(ProbabilityMap(np.full((4, 8, 8), 0.25, dtype=np.float32),
+                                   np.ones((8, 8), dtype=np.int32)), probs)
+    out = tmp_path / "report.json"
+    rc = main(["assess", "--raster", str(domain_dir / "scene_000_rgbn.xras"),
+               "--pred", str(domain_dir / "scene_000_labels.xras"),
+               "--probs", str(probs), "--model-id", "m", "--domain-id", "d",
+               "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_env_does_not_change_output(domain_dir, model_path, tmp_path,

@@ -9,7 +9,7 @@ import pytest
 from xferkit import forest as rf
 from xferkit import synth, transfer, xras
 from xferkit.raster import (LABEL_BUILDING, LABEL_VOID, BandRole, LabelMap,
-                            MultibandRaster)
+                            MultibandRaster, ProbabilityMap)
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +102,10 @@ class TestAssess:
     def test_multi_scene_pooling(self, scene):
         rgbn, agl, gt = scene
         pseudo = transfer.pseudo_labels(rgbn, agl, height_is_agl=True).labels
-        scenes = [transfer.SceneInputs(rgbn, pseudo, agl, None, gt)] * 2
-        report = transfer.assess_scenes(scenes, model_id="m", domain_id="d",
-                                        height_is_agl=True, timestamp="t0")
+        scenes = [transfer.Scene(rgbn, agl, gt)] * 2
+        [report] = transfer.assess_scenes(
+            scenes, {"m": [transfer.Prediction(pseudo)] * 2}, domain_id="d",
+            height_is_agl=True, timestamp="t0")
         assert report.index_miou == 1.0
         assert len(report.thresholds) == 2
         assert report.per_scene_index_miou == (1.0, 1.0)
@@ -114,6 +115,82 @@ class TestAssess:
         small = LabelMap(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(ValueError, match="co-registered"):
             transfer.assess(small, rgbn, agl, model_id="m", domain_id="d")
+
+    def test_misregistered_probabilities_rejected(self, scene):
+        rgbn, agl, gt = scene
+        small = ProbabilityMap(np.full((4, 8, 8), 0.25, dtype=np.float32),
+                               np.ones((8, 8), dtype=np.int32))
+        with pytest.raises(ValueError, match="co-registered"):
+            transfer.assess(gt, rgbn, agl, model_id="m", domain_id="d",
+                            height_is_agl=True, probs=small)
+
+
+def _noisy(gt, rate, seed, with_probs=True):
+    rng = np.random.default_rng(seed)
+    wrong = (gt.codes + rng.integers(1, 4, gt.codes.shape)) % 4
+    codes = np.where(rng.random(gt.codes.shape) < rate, wrong,
+                     gt.codes).astype(np.uint8)
+    codes[gt.codes == LABEL_VOID] = LABEL_VOID
+    if not with_probs:
+        return transfer.Prediction(LabelMap(codes))
+    conf = 0.55 + 0.4 * rng.random(codes.shape)
+    onehot = np.arange(4)[:, None, None] == codes[None]
+    probs = np.where(onehot, conf, (1.0 - conf) / 3.0).astype(np.float32)
+    return transfer.Prediction(LabelMap(codes), ProbabilityMap(
+        probs, (codes != LABEL_VOID).astype(np.int32)))
+
+
+class TestAssessScenes:
+    """Several models over several scenes of one domain in one call."""
+
+    @pytest.fixture(scope="class")
+    def domain(self):
+        spec = synth.DomainSpec(width=64, height=56, seed=8)
+        triples = synth.generate_domain(spec, 2)
+        # the second scene has no ground truth
+        scenes = [transfer.Scene(rgbn, agl, gt if i == 0 else None)
+                  for i, (rgbn, agl, gt) in enumerate(triples)]
+        predictions = {
+            f"m{m}": [_noisy(gt, 0.1 + 0.2 * m, 10 * m + i, with_probs=m != 2)
+                      for i, (_, _, gt) in enumerate(triples)]
+            for m in range(3)
+        }
+        return scenes, predictions
+
+    def test_one_pseudo_truth_per_scene(self, domain, monkeypatch):
+        scenes, predictions = domain
+        calls = []
+        real = transfer.pseudo_labels
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "pseudo_labels", counted)
+        reports = transfer.assess_scenes(scenes, predictions, domain_id="d",
+                                         height_is_agl=True, timestamp="t0")
+        assert len(calls) == len(scenes) == 2
+        assert [r.model_id for r in reports] == list(predictions)
+
+    def test_each_report_equals_its_single_model_call(self, domain):
+        scenes, predictions = domain
+        kw = dict(domain_id="d", height_is_agl=True, timestamp="t0")
+        reports = transfer.assess_scenes(scenes, predictions, **kw)
+        assert len(reports) == 3
+        for (model_id, preds), report in zip(predictions.items(), reports):
+            [alone] = transfer.assess_scenes(scenes, {model_id: preds}, **kw)
+            assert (xras.canonical_json(report.to_dict())
+                    == xras.canonical_json(alone.to_dict()))
+            assert report == alone
+        assert reports[0].per_scene_gt_miou is not None
+        assert len(reports[0].per_scene_gt_miou) == 1
+        assert reports[2].mean_confidence is None
+
+    def test_prediction_count_must_match_scenes(self, domain):
+        scenes, predictions = domain
+        with pytest.raises(ValueError, match="one prediction per scene"):
+            transfer.assess_scenes(scenes, {"m": predictions["m0"][:1]},
+                                   domain_id="d")
 
 
 class TestEvaluateGt:
