@@ -43,6 +43,32 @@ def serpentine_dsm(size):
     return marker, dsm
 
 
+def median_tree(X, depth):
+    """Pre-order tree that splits every node at the median of its rows on
+    feature (depth mod d), down to `depth`: a bushy worst case for routing,
+    where every one of the 2^(depth+1) - 1 nodes receives rows."""
+    feature, threshold, left, right = [], [], [], []
+
+    def grow(rows, level):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        if level < depth:
+            f = level % X.shape[1]
+            t = float(np.median(X[rows, f]))
+            go_left = X[rows, f] <= t
+            feature[node], threshold[node] = f, t
+            left[node] = grow(rows[go_left], level + 1)
+            right[node] = grow(rows[~go_left], level + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return (np.array(feature, dtype=np.int32), np.array(threshold),
+            np.array(left, dtype=np.int32), np.array(right, dtype=np.int32))
+
+
 def bench(size, repeats):
     rng = np.random.default_rng(99)
     dsm = rng.uniform(0, 40, (size, size)).astype(np.float32)
@@ -69,6 +95,7 @@ def bench(size, repeats):
     right = np.full(n_nodes, -1, dtype=np.int32)
     left[internal] = 2 * internal + 1
     right[internal] = 2 * internal + 2
+    bushy = median_tree(X, 11)          # 4095 nodes, leaves of about 20 rows
 
     marker = pure.grey_erode_square(dsm, 31)
     serp = {n: serpentine_dsm(n) for n in (128, 256)}
@@ -84,6 +111,7 @@ def bench(size, repeats):
         ("best_split 40k", lambda impl: impl.best_split(X, y, idx, feats, 20, 4)),
         ("tree_apply 40k", lambda impl: impl.tree_apply(
             feature, threshold, left, right, X)),
+        ("tree_apply bushy", lambda impl: impl.tree_apply(*bushy, X)),
     ]
 
     print(f"input size {size}x{size}, best of {repeats}")

@@ -88,7 +88,12 @@ def glcm_feature_image(levels_img, window: int, levels: int, offsets) -> np.ndar
 
 def best_split(X, y, idx, feats, min_leaf: int, n_classes: int = 4):
     """Best Gini split for the node holding rows `idx` of X; returns
-    (feature, threshold, found). See `pure.best_split` for the contract."""
+    (feature, threshold, found). See `pure.best_split` for the contract.
+
+    Each side of a split keeps at least `min_leaf` rows. A `min_leaf`
+    below 1 is clamped to 1, which changes nothing: every split already
+    leaves at least one row on each side.
+    """
     X = _image(X, np.float32, "X")
     y = np.asarray(y)
     idx = np.ascontiguousarray(idx, dtype=np.int64)
@@ -106,7 +111,7 @@ def best_split(X, y, idx, feats, min_leaf: int, n_classes: int = 4):
     if not _in_range(y[idx], 0, n_classes):
         raise ValueError("a label of the node lies outside [0, n_classes)")
     return _lane.best_split(X, np.ascontiguousarray(y, dtype=np.uint8), idx, feats,
-                            int(min_leaf), int(n_classes))
+                            max(int(min_leaf), 1), int(n_classes))
 
 
 def tree_apply(feature, threshold, left, right, X) -> np.ndarray:

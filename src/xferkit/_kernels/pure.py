@@ -7,8 +7,13 @@ its compiled twin:
 
 * `grey_erode_square`, `reconstruct_dilation` and `tree_apply` are exact
   (comparison-only arithmetic), so both lanes return bit-identical arrays.
+  `tree_apply` partitions the rows node by node instead of walking each
+  row; every row still meets exactly the comparisons of its walk.
 * `best_split` evaluates the split score with the same float64 operation
-  order as the compiled lane, so grown trees are bit-identical too.
+  order as the compiled lane, so grown trees are bit-identical too. It
+  scores all candidate features from one unstable sort: at a value
+  boundary neither the class counts nor the midpoint depend on the order
+  of equal values, and non-boundaries are never scored.
 * `glcm_feature_image` tallies identical integer pair counts, by box sums
   over summed-area tables; its statistics may differ from the compiled
   lane by float64 summation order only (well below 1e-9).
@@ -244,57 +249,76 @@ def best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
     """Best Gini split for the node holding rows `idx` of X.
 
     Maximizes sum(c_left^2)/n_left + sum(c_right^2)/n_right over midpoint
-    thresholds of candidate features; ties go to the lower feature index,
-    then the lower threshold. Returns (feature, threshold, found).
+    thresholds of candidate features, with at least `min_leaf` >= 1 rows
+    on each side; ties go to the lower feature index, then the lower
+    threshold. Returns (feature, threshold, found).
+
+    All k candidate features are scored in one batch: one unstable sort
+    of the (k, m) value matrix, per-class prefix counts along each row,
+    and one row-major argmax, whose first maximum is the lowest feature
+    row, then the lowest threshold. Only value boundaries are scored, and
+    there the left counts are those of every value <= the boundary and
+    the midpoint is of two distinct values, whatever order equal values
+    took, so the unstable sort changes nothing. A boundary at sorted
+    position i has i + 1 rows on its left; those with at least `min_leaf`
+    on each side form the one slice [lo, hi) of every row.
     """
     m = idx.size
-    yv = y[idx]
-    onehot_base = np.equal(yv[:, None], np.arange(n_classes)[None, :]).astype(np.int64)
-    best_feat = -1
-    best_thr = 0.0
-    best_score = -np.inf
-    for f in feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        boundary = np.nonzero(sv[1:] != sv[:-1])[0]
-        if boundary.size == 0:
-            continue
-        nl = boundary + 1
-        nr = m - nl
-        keep = (nl >= min_leaf) & (nr >= min_leaf)
-        if not np.any(keep):
-            continue
-        boundary = boundary[keep]
-        nl = nl[keep]
-        nr = nr[keep]
-        prefix = np.cumsum(onehot_base[order], axis=0)
-        total = prefix[-1]
-        left = prefix[boundary]
-        right = total[None, :] - left
-        sl = np.sum(left * left, axis=1)
-        sr = np.sum(right * right, axis=1)
-        score = sl / nl + sr / nr
-        j = int(np.argmax(score))
-        if score[j] > best_score:
-            best_score = float(score[j])
-            best_feat = int(f)
-            i = int(boundary[j])
-            best_thr = 0.5 * (float(sv[i]) + float(sv[i + 1]))
-    return best_feat, best_thr, best_feat >= 0
+    lo, hi = min_leaf - 1, m - min_leaf
+    if feats.size == 0 or lo >= hi:
+        return -1, 0.0, False
+    V = X[idx][:, feats].T
+    order = np.argsort(V, axis=1)
+    SV = np.take_along_axis(V, order, axis=1)
+    YO = y[idx][order]
+    total = np.bincount(YO[0], minlength=n_classes)
+    sl = np.zeros((feats.size, hi - lo), dtype=np.int64)
+    sr = np.zeros_like(sl)
+    for c in np.flatnonzero(total):
+        left = np.cumsum(YO == c, axis=1)[:, lo:hi]
+        sl += left * left
+        left -= total[c]
+        sr += left * left
+    nl = np.arange(lo + 1, hi + 1)
+    score = sl / nl + sr / (m - nl)
+    score[SV[:, lo:hi] == SV[:, lo + 1:hi + 1]] = -np.inf
+    row, col = divmod(int(np.argmax(score)), hi - lo)
+    if score[row, col] == -np.inf:
+        return -1, 0.0, False
+    i = lo + col
+    return int(feats[row]), 0.5 * (float(SV[row, i]) + float(SV[row, i + 1])), True
 
 
 def tree_apply(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,
                right: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Route every row of X to its leaf; returns int32 node indices."""
-    n = X.shape[0]
-    node = np.zeros(n, dtype=np.int32)
-    while True:
-        feat = feature[node]
-        live = np.nonzero(feat >= 0)[0]
-        if live.size == 0:
-            return node
-        cur = node[live]
-        v = X[live, feat[live]]
-        go_left = v <= threshold[cur]
-        node[live] = np.where(go_left, left[cur], right[cur])
+    """Route every row of X to its leaf; returns int32 node indices.
+
+    Partitioned evaluation (Asadi, Lin & de Vries, IEEE TKDE 2014): the
+    rows that reach a node are split between its children by one compare
+    of one feature column, and a leaf takes the rows it receives. Each
+    row meets the comparisons of its root-to-leaf walk and no other, so
+    it lands on that walk's leaf; nodes no row reaches cost nothing.
+
+    The walk compares the float32 value with the float64 threshold t. For
+    a float32 v, v <= t exactly when v <= the largest float32 not above t,
+    so each threshold is rounded down to float32 once and the column
+    compares stay in float32. NaN compares false and goes right.
+    """
+    with np.errstate(over="ignore"):    # a threshold beyond float32's range
+        t32 = threshold.astype(np.float32)
+        t32 = np.where(t32 > threshold, np.nextafter(t32, np.float32(-np.inf)), t32)
+    cols, feat, thr = list(X.T), feature.tolist(), list(t32)
+    lefts, rights = left.tolist(), right.tolist()
+    out = np.empty(X.shape[0], dtype=np.int32)
+    todo = [(0, np.arange(X.shape[0]))]
+    while todo:
+        node, rows = todo.pop()
+        f = feat[node]
+        if f < 0:
+            out[rows] = node
+            continue
+        go_left = cols[f][rows] <= thr[node]
+        for child, part in ((lefts[node], rows[go_left]), (rights[node], rows[~go_left])):
+            if part.size:
+                todo.append((child, part))
+    return out

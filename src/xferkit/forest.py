@@ -78,6 +78,9 @@ class PixelDataset:
             raise ValueError("features must be (n, d) with matching labels")
         if self.labels.size and self.labels.max() >= N_CLASSES:
             raise ValueError("void labels are not trainable")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite: a NaN or infinite value "
+                             "cannot be ordered against a split threshold")
 
     @property
     def n(self) -> int:

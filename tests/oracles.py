@@ -143,3 +143,44 @@ def glcm_window_oracle(q, window, levels, offsets, cy, cx):
     else:
         corr = (float((ii * jj * P).sum()) - mu * mu) / var
     return np.array([contrast, dissim, homog, energy, entropy, corr])
+
+
+def best_split_oracle(X, y, idx, feats, min_leaf, n_classes=4):
+    """Every midpoint between two adjacent distinct values of every
+    candidate feature, scored from scratch as
+    sum(c_left^2)/n_left + sum(c_right^2)/n_right; a split needs at least
+    `min_leaf` rows on each side. Features are tried in ascending order
+    and only a strictly higher score replaces the best, so ties keep the
+    lower feature, then the lower threshold. Returns (feature, threshold,
+    found)."""
+    rows = [int(i) for i in idx]
+    best, best_score = (-1, 0.0, False), None
+    for f in sorted(int(f) for f in feats):
+        values = sorted({float(X[i, f]) for i in rows})
+        for a, b in zip(values, values[1:]):
+            left = [0] * n_classes
+            right = [0] * n_classes
+            for i in rows:
+                side = left if float(X[i, f]) <= a else right
+                side[int(y[i])] += 1
+            n_left, n_right = sum(left), sum(right)
+            if n_left < min_leaf or n_right < min_leaf:
+                continue
+            score = (sum(c * c for c in left) / n_left
+                     + sum(c * c for c in right) / n_right)
+            if best_score is None or score > best_score:
+                best, best_score = (f, 0.5 * (a + b), True), score
+    return best
+
+
+def tree_walk_oracle(feature, threshold, left, right, X):
+    """Walk each row from the root, comparing its value as a float64 with
+    the node's threshold (NaN compares false and goes right)."""
+    out = []
+    for row in X:
+        node = 0
+        while feature[node] >= 0:
+            go_left = float(row[feature[node]]) <= float(threshold[node])
+            node = int(left[node] if go_left else right[node])
+        out.append(node)
+    return np.array(out, dtype=np.int32)

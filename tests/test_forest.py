@@ -1,5 +1,6 @@
 """GLCM features and the random-forest baseline."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -248,6 +249,37 @@ class TestTraining:
             routed = np.bincount(y[boot][leaf == node], minlength=rf.N_CLASSES)
             np.testing.assert_array_equal(tree.counts[node], routed)
             assert routed.sum() >= hp.min_samples_leaf
+
+    def test_non_finite_features_rejected(self):
+        X = np.random.default_rng(0).normal(size=(400, 3)).astype(np.float32)
+        X[::3, 0] = np.nan
+        y = (X[:, 1] > 0).astype(np.uint8)
+        with pytest.raises(ValueError, match="features must be finite"):
+            rf.rf_train(rf.PixelDataset(X, y), XOR_HP)
+        X[::3, 0] = np.inf
+        with pytest.raises(ValueError, match="features must be finite"):
+            rf.PixelDataset(X, y)
+
+    def test_forest_bytes_pinned(self):
+        """A fixed-seed forest on fixed data (tied and constant columns,
+        noisy labels, deep trees): the digests of its serialized bytes and
+        of its probabilities are those of the row-by-row split search and
+        tree walk, on either lane."""
+        rng = np.random.default_rng(20240607)
+        X = rng.normal(size=(2000, 6)).astype(np.float32)
+        X[:, 2] = np.round(X[:, 2] * 2)
+        X[:, 4] = 1.5
+        y = ((X[:, 0] > 0).astype(np.uint8) + (X[:, 1] > 0.5) + (X[:, 2] > 1)).astype(np.uint8)
+        flip = rng.random(2000) < 0.15
+        y[flip] = rng.integers(0, 4, int(flip.sum()))
+        hp = rf.RfHyperparams(n_trees=6, max_depth=12, min_samples_leaf=2,
+                              min_samples_split=6, features_per_split=3, seed=17)
+        model = rf.rf_train(rf.PixelDataset(X, y), hp)
+        assert [t.n_nodes for t in model.trees] == [317, 397, 291, 325, 343, 321]
+        assert hashlib.sha256(rf.save_forest(model)).hexdigest() == \
+            "77f75a826e68dafbd1f3a161fcbe15bc857083b98ba1611c39f7baee89fb1409"
+        assert hashlib.sha256(model.predict_matrix(X).tobytes()).hexdigest() == \
+            "94340ca632181aef3bb28b55a596985231822d75c280f999a86344f3bbbba877"
 
     def test_small_dataset_warns_single_leaf(self):
         X, y = xor_dataset(n=20)

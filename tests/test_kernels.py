@@ -9,7 +9,8 @@ Lane-against-lane agreement lives in test_kernel_parity.py.
 import numpy as np
 import pytest
 
-from oracles import glcm_window_oracle, naive_reconstruction
+from oracles import (best_split_oracle, glcm_window_oracle, naive_reconstruction,
+                     tree_walk_oracle)
 from xferkit import _kernels
 from xferkit._kernels import pure
 
@@ -140,6 +141,99 @@ def test_glcm_block_size_does_not_change_output(monkeypatch):
         monkeypatch.setattr(pure, "BLOCK_CELLS", cells)
         assert np.array_equal(_kernels.glcm_feature_image(q, 13, 32, OFFSETS), default)
 
+
+# ---------------------------------------------------------------------------
+# CART split search and tree traversal
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+def test_best_split_matches_oracle(kernels, ties):
+    """Random nodes of 2 to 60 rows drawn with duplicates from n rows, a
+    constant column, every k from 1 to d, and min_leaf from 1 to a third
+    of the node; `ties` rounds the values to a few integers."""
+    rng = np.random.default_rng(17 + ties)
+    for _ in range(12):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 6))
+        X = rng.normal(size=(n, d)).astype(np.float32)
+        if ties:
+            X = np.round(X)
+        X[:, rng.integers(d)] = 0.25
+        y = rng.integers(0, 4, n).astype(np.uint8)
+        idx = rng.integers(0, n, int(rng.integers(2, 61)))
+        for k in range(1, d + 1):
+            feats = rng.choice(d, size=k, replace=False)
+            min_leaf = int(rng.integers(1, max(2, idx.size // 3)))
+            assert kernels.best_split(X, y, idx, feats, min_leaf) == \
+                best_split_oracle(X, y, idx, feats, min_leaf)
+
+
+def test_best_split_tie_rule(kernels):
+    """Columns 0 and 1 are equal, and their thresholds 0.5 and 2.5 score
+    the same: the lower feature, then the lower threshold, wins."""
+    X = np.repeat(np.arange(4, dtype=np.float32)[:, None], 2, axis=1)
+    y = np.array([0, 1, 1, 0], dtype=np.uint8)
+    idx = np.arange(4)
+    assert best_split_oracle(X, y, idx, [1, 0], 1) == (0, 0.5, True)
+    assert kernels.best_split(X, y, idx, [1, 0], 1) == (0, 0.5, True)
+
+
+@pytest.mark.parametrize("m", [39, 40])
+def test_best_split_min_leaf_edges(kernels, m):
+    """min_leaf 0 acts as 1; at m // 2 only the middle boundaries remain;
+    a node with m < 2 * min_leaf has no split."""
+    X, y, idx, feats = split_input()
+    idx = idx[:m]
+    one = kernels.best_split(X, y, idx, feats, 1)
+    assert one[2] and one == best_split_oracle(X, y, idx, feats, 1)
+    assert kernels.best_split(X, y, idx, feats, 0) == one
+    half = m // 2
+    got = kernels.best_split(X, y, idx, feats, half)
+    assert got[2] and got == best_split_oracle(X, y, idx, feats, half)
+    assert kernels.best_split(X, y, idx, feats, half + 1) == (-1, 0.0, False)
+
+
+def random_tree(rng, d, depth, cuts):
+    """Random pre-order tree: the root's left child is a leaf, its chain of
+    right children splits down to `depth`, and every other node splits
+    with probability 0.6 down to depth + 2. Thresholds are drawn from
+    `cuts`."""
+    feature, threshold, left, right = [], [], [], []
+
+    def grow(level, kind):
+        node = len(feature)
+        split = kind == "spine" and level < depth or \
+            kind == "random" and level < depth + 2 and rng.random() < 0.6
+        feature.append(int(rng.integers(d)) if split else -1)
+        threshold.append(float(rng.choice(cuts)) if split else 0.0)
+        left.append(-1)
+        right.append(-1)
+        if split:
+            left[node] = grow(level + 1, "leaf" if level == 0 else "random")
+            right[node] = grow(level + 1, kind)
+        return node
+
+    grow(0, "spine")
+    return (np.array(feature, dtype=np.int32), np.array(threshold),
+            np.array(left, dtype=np.int32), np.array(right, dtype=np.int32))
+
+
+def test_tree_apply_matches_row_walk(kernels, rng):
+    """Depth-9 trees whose thresholds hit data values exactly (ties go
+    left), sit at the float64 midpoint of two adjacent float32 values that
+    both occur (half of these round up in float32), or are arbitrary
+    float64; whole rows and single values are NaN."""
+    X = np.round(rng.normal(size=(200, 4)), 1).astype(np.float32)
+    X = np.concatenate([X, np.nextafter(X, np.float32(np.inf))])
+    vals = X[:200].ravel().astype(np.float64)
+    cuts = np.concatenate([vals, 0.5 * (vals + X[200:].ravel()), rng.normal(size=50)])
+    X[::7] = np.nan
+    X[rng.uniform(size=X.shape) < 0.05] = np.nan
+    for _ in range(5):
+        tree = random_tree(rng, 4, 9, cuts)
+        assert tree[0][1] == -1 and tree[0][0] >= 0
+        got = kernels.tree_apply(*tree, X)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, tree_walk_oracle(*tree, X))
 
 
 # ---------------------------------------------------------------------------
