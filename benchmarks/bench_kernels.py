@@ -2,10 +2,12 @@
 """Benchmark the compiled kernel lane against the pure-numpy fallback.
 
 Runs each hot kernel on representative inputs and prints a table of
-per-call wall times plus the speedup. GLCM runs on a random level image
-(every level pair present, its worst case) and on a synthetic scene. The lanes are called directly, past
-the checked front in `xferkit._kernels`, so the inputs are built in the
-dtypes the front would pass. Usage:
+per-call wall times plus the speedup. GLCM runs at window 13 on a random
+level image (every level pair present, its worst case) and on a synthetic
+scene, and at window 31 on the scene, where the pure lane counts pairs in
+int32 rather than uint8. The lanes are called directly, past the checked
+front in `xferkit._kernels`, so the inputs are built in the dtypes the
+front would pass. Usage:
 
     python benchmarks/bench_kernels.py [--size 256] [--repeats 3]
 """
@@ -108,6 +110,8 @@ def bench(size, repeats):
             levels_img, 13, 32, offsets)),
         ("glcm w13 scene", lambda impl: impl.glcm_feature_image(
             scene_levels, 13, 32, offsets)),
+        ("glcm w31 scene", lambda impl: impl.glcm_feature_image(
+            scene_levels, 31, 32, offsets)),
         ("best_split 40k", lambda impl: impl.best_split(X, y, idx, feats, 20, 4)),
         ("tree_apply 40k", lambda impl: impl.tree_apply(
             feature, threshold, left, right, X)),

@@ -14,9 +14,13 @@ its compiled twin:
   scores all candidate features from one unstable sort: at a value
   boundary neither the class counts nor the midpoint depend on the order
   of equal values, and non-boundaries are never scored.
-* `glcm_feature_image` tallies identical integer pair counts, by box sums
-  over summed-area tables; its statistics may differ from the compiled
-  lane by float64 summation order only (well below 1e-9).
+* `glcm_feature_image` tallies identical integer pair counts: the anchor
+  sums by box sums over summed-area tables, the count of each level pair
+  by sliding-window run sums of its 8-bit indicator image (Huang, Yang &
+  Tang 1979). Its statistics may differ from the compiled lane by float64
+  summation order only (well below 1e-9). Within the lane the per-pair
+  terms are looked up from the exact counts and folded in sorted pair
+  order, so neither the counting method nor the block size changes a bit.
 """
 
 from __future__ import annotations
@@ -115,8 +119,8 @@ def reconstruct_dilation(marker: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # GLCM windowed statistics
 # ---------------------------------------------------------------------------
 
-# Table cells per block of level pairs in `_energy_entropy_sums`: the
-# block's temporaries take a few bytes per cell.
+# Padded image cells per block of level pairs in `_energy_entropy_sums`:
+# the block's temporaries take a few bytes per cell.
 BLOCK_CELLS = 1 << 16
 
 
@@ -170,29 +174,84 @@ def _add_offset_sums(q: np.ndarray, levels: int, r: int, dy: int, dx: int,
     return np.where(valid, pair, -1).astype(np.int32)   # levels <= MAX_LEVELS
 
 
+def _run_sums(a: np.ndarray, n: int, axis: int, count: int) -> np.ndarray:
+    """Sums of n consecutive cells along `axis` of `a`, for the `count` runs
+    that start at 0, 1, ...: a run of 2^(k+1) cells is two runs of 2^k,
+    and a run of n cells is one run per binary digit of n. Keeps a's dtype."""
+    def cut(x, lo, size):
+        return x[(slice(None),) * axis + (slice(lo, lo + size),)]
+
+    part, span, pos, out = cut(a, 0, count + n - 1), 1, 0, None
+    while True:
+        if n & span:
+            piece = cut(part, pos, count)
+            out = piece.copy() if out is None else np.add(out, piece, out=out)
+            pos += span
+        if 2 * span > n:
+            return out
+        size = part.shape[axis] - span
+        part = cut(part, 0, size) + cut(part, span, size)
+        span *= 2
+
+
 def _energy_entropy_sums(codes: list, levels: int, r: int, shape: tuple):
-    """Per-center sums of c^2 and c*log(c) over the GLCM cells c. The cells
-    of the present level pairs are counted a block of pairs at a time, at
-    most `BLOCK_CELLS` table cells or one pair, and folded into the float64
-    sums one pair at a time in sorted pair order."""
+    """Per-center sums of c^2 and c*log(c) over the GLCM cells c.
+
+    Per offset, a window holds a level pair as often as the anchors of its
+    window-constrained box hold that pair's code. Each pair-code image is
+    padded by r cells of -1, so every center's box is a plain run of
+    2r+1-|dy| rows by 2r+1-|dx| columns of it, and the counts of a block of
+    present pairs (at most `BLOCK_CELLS` padded cells, or one pair) are
+    run sums (`_run_sums`) of their uint8 indicator images. All counts are
+    exact integers: per offset a box holds at most (2r+1)^2 anchors, which
+    fits uint8 up to window 15, and the sum over the offsets then fits
+    uint16 (up to 290 offsets); wider windows, or more offsets, count in
+    int32.
+
+    c^2 and c*log(c) are looked up in tables built once per call with the
+    float64 expressions (m*c)*c and (m*c)*log(max(c, 1)), where m = 2
+    counts a cell and its transpose and a diagonal cell's count is doubled
+    instead, as it tallies both directions. The looked-up values are
+    folded into the float64 sums one pair at a time in sorted pair order,
+    so the sums do not depend on how the pairs were counted or blocked.
+    """
+    h, w = shape
     a2 = np.zeros(shape, dtype=np.float64)
     alog = np.zeros(shape, dtype=np.float64)
     present = np.unique(np.concatenate([c[c >= 0] for _, _, c in codes] or [[]]))
-    step = max(1, BLOCK_CELLS // ((shape[0] + 2 * r + 1) * (shape[1] + 2 * r + 1)))
+    box = min(2 * r + 1, h) * min(2 * r + 1, w)     # most anchors per offset
+    most = len(codes) * box
+    small = box <= 0xFF and most <= 0xFFFF
+    cell_dtype = np.uint16 if small else np.int32
+    padded = [(dy, dx, np.pad(code, r, constant_values=-1)) for dy, dx, code in codes]
+    # tables[0]: off the diagonal, m = 2; tables[1]: on it, count doubled
+    c = np.arange(most + 1, dtype=np.float64)
+    cd = 2.0 * c
+    sq_table = np.stack([(2.0 * c) * c, (1.0 * cd) * cd])
+    log_table = np.stack([(2.0 * c) * np.log(np.maximum(c, 1.0)),
+                          (1.0 * cd) * np.log(np.maximum(cd, 1.0))])
+    H, W = h + 2 * r, w + 2 * r
+    step = max(1, BLOCK_CELLS // (H * W))
+    buf = np.empty(shape, dtype=np.float64)
     for start in range(0, present.size, step):
         block = present[start:start + step]
-        cell = np.zeros((block.size,) + shape, dtype=np.int32)
-        for dy, dx, code in codes:
-            cell += _box_sums(code == block[:, None, None], r, dy, dx, np.int32)
-        diagonal = block // levels == block % levels
-        cell[diagonal] *= 2                 # a diagonal cell tallies both directions
-        cf = cell.astype(np.float64)
-        mcf = np.where(diagonal, 1.0, 2.0)[:, None, None] * cf   # x2: cell and transpose
-        sq = mcf * cf
-        mcf *= np.log(np.maximum(cf, 1.0, out=cf), out=cf)
+        n = block.size * H * W
+        # The column runs go along the flat block, so each numpy call is one
+        # long loop; a run that crosses a row end lands in a column >= w,
+        # which no center reads. The 2r tail cells feed the last row's runs.
+        flat = np.zeros(n + 2 * r, dtype=np.uint8)
+        cell = np.zeros((block.size, h, W), dtype=cell_dtype)
+        for dy, dx, pad in padded:
+            np.equal(pad, block[:, None, None], out=flat[:n].view(np.bool_).reshape(-1, H, W))
+            hit = flat if small else flat.astype(np.int32)
+            cols = _run_sums(hit[max(0, -dx):], 2 * r + 1 - abs(dx), 0, n).reshape(-1, H, W)
+            cell += _run_sums(cols[:, max(0, -dy):], 2 * r + 1 - abs(dy), 1, h)
+        diagonal = (block // levels == block % levels).astype(np.intp)
+        # counts <= most, so "clip" changes no index and skips the bounds check
         for t in range(block.size):
-            a2 += sq[t]
-            alog += mcf[t]
+            counts = cell[t, :, :w]
+            a2 += np.take(sq_table[diagonal[t]], counts, mode="clip", out=buf)
+            alog += np.take(log_table[diagonal[t]], counts, mode="clip", out=buf)
     return a2, alog
 
 
@@ -206,11 +265,11 @@ def glcm_feature_image(levels_img: np.ndarray, window: int, levels: int,
     no valid pair get all six set to 0. An offset as long as the window or
     the image adds no pair.
 
-    Every windowed sum is a box sum over a summed-area table, one table
+    The six anchor sums are box sums over summed-area tables, one table
     per offset and summed quantity. Energy and entropy need the count of
-    each present level pair; its tables are built a block of pairs at a
-    time, which caps the temporaries at `BLOCK_CELLS` cells (one pair's
-    tables on a larger scene).
+    each present level pair; these are counted a block of pairs at a time
+    by run sums, which caps the temporaries at `BLOCK_CELLS` cells (one
+    pair's on a larger scene).
     """
     q = np.asarray(levels_img, dtype=np.int64)
     h, w = q.shape

@@ -145,6 +145,22 @@ def test_rf_predict_assess_rank_correlate(domain_dir, model_path, tmp_path):
     assert lines[2].startswith("confidence,")
 
 
+def test_rf_predict_tiled_writes_full_image_bytes(domain_dir, model_path, tmp_path):
+    """Overlapping tiles write the probability and label files of one
+    full-image prediction, byte for byte."""
+    outs = {}
+    for patch in ("0", "48"):
+        probs, labels = tmp_path / f"probs_{patch}.xras", tmp_path / f"labels_{patch}.xras"
+        assert main(["rf", "predict", "--model", str(model_path),
+                     "--raster", str(domain_dir / "scene_001_rgbn.xras"),
+                     "--height", str(domain_dir / "scene_001_agl.xras"),
+                     "--window", "5", "--levels", "8", "--patch", patch,
+                     "--overlap", "0.5", "--out", str(probs),
+                     "--labels-out", str(labels)]) == 0
+        outs[patch] = (probs.read_bytes(), labels.read_bytes())
+    assert outs["48"] == outs["0"]
+
+
 def test_rf_predict_height_mismatch_errors(domain_dir, model_path, tmp_path):
     rc = main(["rf", "predict", "--model", str(model_path),
                "--raster", str(domain_dir / "scene_001_rgbn.xras"),

@@ -6,12 +6,14 @@ is always tested; the compiled lane joins when its library is built.
 Lane-against-lane agreement lives in test_kernel_parity.py.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from oracles import (best_split_oracle, glcm_window_oracle, naive_reconstruction,
                      tree_walk_oracle)
-from xferkit import _kernels
+from xferkit import _kernels, forest, synth
 from xferkit._kernels import pure
 
 LANES = [pytest.param(pure, id="pure")]
@@ -129,12 +131,47 @@ def test_glcm_matches_oracle_across_blocks(kernels, rng):
         np.testing.assert_allclose(feats[:, cy, cx], expect, atol=1e-9)
 
 
+@pytest.mark.parametrize("window", [15, 17, 31, 37])
+def test_glcm_wide_windows_match_oracle(kernels, window, rng):
+    """Wide windows on an image with invalid pixels: 15 is the widest whose
+    per-offset counts the pure lane keeps in uint8; 17, 31 and 37 (as
+    wide as the image) count in int32. A constant 20x20 corner makes one
+    pair's count pass 255 in the wider windows, as at center (10, 10)."""
+    q = rng.integers(0, 8, (40, 37)).astype(np.int32)
+    q[rng.uniform(size=q.shape) < 0.05] = -1
+    q[:20, :20] = 3
+    feats = kernels.glcm_feature_image(q, window, 8, OFFSETS)
+    centers = [(0, 0), (0, 36), (39, 0), (39, 36), (10, 10)]
+    centers += [tuple(c) for c in rng.integers(0, (40, 37), (6, 2))]
+    for cy, cx in centers:
+        expect = glcm_window_oracle(q, window, 8, OFFSETS, cy, cx)
+        np.testing.assert_allclose(feats[:, cy, cx], expect, atol=1e-9)
+
+
+@pytest.mark.parametrize("image, digest", [
+    ("random", "a6c50c50081bf3578ad8c303cdf5576a906ab7e9b5e4b61754853649a56aa6f2"),
+    ("scene", "5d4776644957a602a2239744beaf04790ccdbdced6b15bb32a6a2baa1ea3cc54"),
+])
+def test_glcm_bytes_pinned(monkeypatch, image, digest):
+    """The pure lane's statistics, bit for bit, on `glcm_scene()` and on
+    the luminance levels of a 128x128 synthetic scene. The digests were
+    recorded when the pair counts were box sums over summed-area tables."""
+    monkeypatch.setattr(_kernels, "_lane", pure)
+    if image == "random":
+        q = glcm_scene()
+    else:
+        rgbn, _, _ = synth.generate_scene(synth.DomainSpec(width=128, height=128, seed=3), 0)
+        q = forest.quantize_luminance(rgbn, 32)
+    feats = _kernels.glcm_feature_image(q, 13, 32, OFFSETS)
+    assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
+
+
 def test_glcm_block_size_does_not_change_output(monkeypatch):
     """The pure lane's pair blocks change no bit of the output: one pair
     per block, five per block (the last one partial) and the default."""
     monkeypatch.setattr(_kernels, "_lane", pure)
     q = glcm_scene()
-    table = (64 + 13) ** 2                  # cells of one pair's table
+    table = (64 + 12) ** 2                  # padded cells of one pair
     assert 1 < pure.BLOCK_CELLS // table < 528 // 4
     default = _kernels.glcm_feature_image(q, 13, 32, OFFSETS)
     for cells in (1, 5 * table):

@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from xferkit import _kernels, synth, transfer, xras
 from xferkit import forest as rf
-from xferkit import synth, transfer, xras
 from xferkit.raster import (LABEL_BUILDING, LABEL_VOID, BandRole, LabelMap,
-                            MultibandRaster, ProbabilityMap)
+                            MultibandRaster, ProbabilityMap,
+                            merge_probability_patches, plan_tiles)
 
 
 @pytest.fixture(scope="module")
@@ -278,22 +279,50 @@ class TestCorrelate:
 
 
 class TestPredictTiled:
-    def test_equals_full_image(self, scene, monkeypatch):
+    @pytest.fixture(scope="class")
+    def fitted(self, scene):
         rgbn, agl, gt = scene
         glcm = rf.glcm_features(rgbn, rf.GlcmParams(window=5, levels=8))
         stack = rf.stack_features(rgbn, glcm, agl)
         data = rf.sample_pixels([stack], [gt], 2000, seed=4)
         hp = rf.RfHyperparams(n_trees=5, max_depth=8, min_samples_leaf=5,
                               min_samples_split=10, seed=4)
-        model = rf.rf_train(data, hp)
+        return rf.rf_train(data, hp), stack
+
+    def test_equals_full_image(self, fitted, monkeypatch):
+        model, stack = fitted
         full = rf.rf_predict(model, stack)
-        outs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("XFERKIT_THREADS", threads)
             pmap, labels = transfer.predict_tiled(model, stack, patch_size=64,
                                                   overlap=0.5)
-            outs[threads] = pmap.probs.tobytes()
+            assert pmap.probs.tobytes() == full.probs.tobytes()
             np.testing.assert_array_equal(labels.codes,
                                           full.argmax_labels().codes)
-            np.testing.assert_allclose(pmap.probs, full.probs, atol=1e-6)
-        assert outs["1"] == outs["2"]
+
+    def test_weight_is_plan_coverage(self, fitted):
+        model, stack = fitted
+        pmap, _ = transfer.predict_tiled(model, stack, patch_size=64, overlap=0.5)
+        per_axis = np.repeat([1, 2, 1], 32)     # 96 px, windows at 0 and 32
+        np.testing.assert_array_equal(pmap.weight, np.outer(per_axis, per_axis))
+        # a plan with a clamped last window: the voting merge's counts
+        plan = plan_tiles(96, 96, 40, 0.3)
+        uniform = np.full((4, 40, 40), 0.25, dtype=np.float32)
+        merged, _ = merge_probability_patches([(w, uniform) for w in plan.windows], 96, 96)
+        pmap, _ = transfer.predict_tiled(model, stack, patch_size=40, overlap=0.3)
+        np.testing.assert_array_equal(pmap.weight, merged.weight)
+
+    def test_each_pixel_routed_once(self, fitted, monkeypatch):
+        """At overlap 0.5 the windows hold 2.25x the scene's pixels; every
+        tree still routes each pixel once."""
+        model, stack = fitted
+        rows = []
+        tree_apply = _kernels.tree_apply
+
+        def counting(*args):
+            rows.append(args[-1].shape[0])
+            return tree_apply(*args)
+
+        monkeypatch.setattr(_kernels, "tree_apply", counting)
+        transfer.predict_tiled(model, stack, patch_size=64, overlap=0.5)
+        assert sum(rows) == model.n_trees * stack.shape[1] * stack.shape[2]
