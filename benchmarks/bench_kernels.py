@@ -85,8 +85,16 @@ def bench(size, repeats):
     n, d = 40_000, 11
     X = rng.normal(size=(n, d)).astype(np.float32)
     y = rng.integers(0, 4, n).astype(np.uint8)
-    idx = rng.integers(0, n, n).astype(np.int64)
     feats = np.arange(4, dtype=np.int64)
+    # a tree's root: its bootstrap's distinct rows and their counts, at
+    # 40k rows and at the study's 50k samples (min_samples_leaf 20)
+    roots = {}
+    for n_root in (40_000, 50_000):
+        Xs = rng.normal(size=(n_root, d)).astype(np.float32)
+        ys = rng.integers(0, 4, n_root).astype(np.uint8)
+        drawn = np.bincount(rng.integers(0, n_root, n_root), minlength=n_root)
+        rows = np.flatnonzero(drawn)
+        roots[n_root] = (Xs, ys, rows, drawn[rows], feats, 20, 4)
 
     n_nodes = 2047                      # full binary tree of depth 10
     feature = np.full(n_nodes, -1, dtype=np.int32)
@@ -112,7 +120,8 @@ def bench(size, repeats):
             scene_levels, 13, 32, offsets)),
         ("glcm w31 scene", lambda impl: impl.glcm_feature_image(
             scene_levels, 31, 32, offsets)),
-        ("best_split 40k", lambda impl: impl.best_split(X, y, idx, feats, 20, 4)),
+        ("best_split 40k", lambda impl: impl.best_split(*roots[40_000])),
+        ("best_split 50k", lambda impl: impl.best_split(*roots[50_000])),
         ("tree_apply 40k", lambda impl: impl.tree_apply(
             feature, threshold, left, right, X)),
         ("tree_apply bushy", lambda impl: impl.tree_apply(*bushy, X)),

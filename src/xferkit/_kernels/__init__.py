@@ -7,7 +7,9 @@ when its library loads, and `FALLBACK_REASON` keeps why it did not; set
 
 The functions below coerce dtypes and contiguity and check every contract
 once, then call the selected lane. The lanes check nothing: the C loops
-index memory with what they are given.
+index memory with what they are given. `best_split` takes its node as
+distinct rows with their counts (a bootstrap without its copies), and
+counts every size and tally with that multiplicity.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ _lane = pure if _requested == "pure" or compiled is None else compiled
 BACKEND = _lane.NAME
 
 MAX_CLASSES = 16         # best_split's class tallies are fixed [16] arrays
+MAX_COUNT = 2**28 - 1    # best_split's node size with multiplicity: a count
+                         # packs into 28 bits, and squared tallies fit int64
 MAX_LEVELS = 46340       # GLCM pair codes a*levels+b must fit a 32-bit int
 
 
@@ -86,32 +90,42 @@ def glcm_feature_image(levels_img, window: int, levels: int, offsets) -> np.ndar
                                     int(levels), offsets)
 
 
-def best_split(X, y, idx, feats, min_leaf: int, n_classes: int = 4):
-    """Best Gini split for the node holding rows `idx` of X; returns
-    (feature, threshold, found). See `pure.best_split` for the contract.
+def best_split(X, y, rows, counts, feats, min_leaf: int, n_classes: int = 4):
+    """Best Gini split for the node holding row rows[i] of X counts[i]
+    times; returns (feature, threshold, found). See `pure.best_split` for
+    the contract.
 
-    Each side of a split keeps at least `min_leaf` rows. A `min_leaf`
-    below 1 is clamped to 1, which changes nothing: every split already
-    leaves at least one row on each side.
+    The node is the multiset of rows, so a bootstrap is passed as its
+    distinct rows and their multiplicities, and the result equals that of
+    the node with every row repeated. Node sizes, `min_leaf` and the class
+    tallies count multiplicity: each side of a split holds at least
+    `min_leaf` rows counted so. A `min_leaf` below 1 is clamped to 1,
+    which changes nothing. Every count must be >= 1, and the counts may
+    sum to at most `MAX_COUNT`.
     """
     X = _image(X, np.float32, "X")
     y = np.asarray(y)
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
     # sorted once here: ties go to the lower feature index in both lanes
     feats = np.sort(np.asarray(feats, dtype=np.int64))
     n, d = X.shape
-    if y.shape != (n,) or idx.ndim != 1 or feats.ndim != 1:
-        raise ValueError("best_split needs X (n, d), y (n,), and 1-D idx and feats")
+    if y.shape != (n,) or rows.ndim != 1 or feats.ndim != 1:
+        raise ValueError("best_split needs X (n, d), y (n,), and 1-D rows and feats")
+    if counts.shape != rows.shape:
+        raise ValueError("counts must be shaped like rows")
     if not 1 <= n_classes <= MAX_CLASSES:
         raise ValueError(f"n_classes must lie in [1, {MAX_CLASSES}]")
-    if not _in_range(idx, 0, n):
-        raise ValueError("idx holds a row outside [0, n)")
+    if not _in_range(rows, 0, n):
+        raise ValueError("rows holds a row outside [0, n)")
+    if not _in_range(counts, 1, MAX_COUNT + 1) or counts.sum() > MAX_COUNT:
+        raise ValueError(f"counts must be >= 1 and sum to at most {MAX_COUNT}")
     if feats.size and (feats[0] < 0 or feats[-1] >= d):
         raise ValueError("feats holds a feature outside [0, d)")
-    if not _in_range(y[idx], 0, n_classes):
+    if not _in_range(y[rows], 0, n_classes):
         raise ValueError("a label of the node lies outside [0, n_classes)")
-    return _lane.best_split(X, np.ascontiguousarray(y, dtype=np.uint8), idx, feats,
-                            max(int(min_leaf), 1), int(n_classes))
+    return _lane.best_split(X, np.ascontiguousarray(y, dtype=np.uint8), rows, counts,
+                            feats, max(int(min_leaf), 1), int(n_classes))
 
 
 def tree_apply(feature, threshold, left, right, X) -> np.ndarray:

@@ -35,8 +35,8 @@ for _name, _restype, _argtypes in (
         ("reconstruct_dilation", None, [_F32, _F32, _SIZE, _SIZE]),
         ("glcm_feature_image", None, [_I32, _SIZE, _SIZE, _SIZE, ctypes.c_int32, _I64,
                                       _SIZE, _F64, _I64, _I32, _F64]),
-        ("best_split", ctypes.c_int64, [_F32, _SIZE, _U8, _I64, _SIZE, _I64, _SIZE,
-                                        ctypes.c_int64, ctypes.c_int, _F32, _U8,
+        ("best_split", ctypes.c_int64, [_F32, _SIZE, _U8, _I64, _I64, _SIZE, _I64, _SIZE,
+                                        ctypes.c_int64, ctypes.c_int, _F32, _U8, _I64,
                                         ctypes.POINTER(ctypes.c_double)]),
         ("tree_apply", None, [_I32, _F64, _I32, _I32, _F32, _SIZE, _SIZE, _I32])):
     getattr(_lib, _name).restype = _restype
@@ -71,12 +71,13 @@ def glcm_feature_image(levels_img: np.ndarray, window: int, levels: int,
     return out
 
 
-def best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, feats: np.ndarray,
-               min_leaf: int, n_classes: int):
+def best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray, counts: np.ndarray,
+               feats: np.ndarray, min_leaf: int, n_classes: int):
     thr = ctypes.c_double()
-    f = _lib.best_split(X, X.shape[1], y, idx, idx.size, feats, feats.size, min_leaf,
-                        n_classes, np.empty(idx.size, dtype=np.float32),
-                        np.empty(idx.size, dtype=np.uint8), ctypes.byref(thr))
+    m = rows.size
+    f = _lib.best_split(X, X.shape[1], y, rows, counts, m, feats, feats.size, min_leaf,
+                        n_classes, np.empty(m, dtype=np.float32), np.empty(m, dtype=np.uint8),
+                        np.empty(m, dtype=np.int64), ctypes.byref(thr))
     return f, thr.value, f >= 0
 
 

@@ -139,68 +139,82 @@ void glcm_feature_image(const int32_t *q, idx_t h, idx_t w, idx_t r,
     }
 }
 
-#define SWAP_PAIR(a, b) do { float tv = v[a]; v[a] = v[b]; v[b] = tv; \
-    uint8_t tl = l[a]; l[a] = l[b]; l[b] = tl; } while (0)
+#define SWAP(a, b) do { float tv = v[a]; v[a] = v[b]; v[b] = tv; \
+    uint8_t tl = l[a]; l[a] = l[b]; l[b] = tl; \
+    int64_t tw = w[a]; w[a] = w[b]; w[b] = tw; } while (0)
 
-/* Sort v[lo..hi] ascending with co-moving labels l: quicksort with a
- * median-of-three pivot, recursing into the smaller side, and insertion
- * sort below 16 elements. */
-static void sort_pairs(float *v, uint8_t *l, idx_t lo, idx_t hi)
+/* Sort v[lo..hi] ascending with co-moving labels l and counts w: quicksort
+ * with a median-of-three pivot, recursing into the smaller side, and
+ * insertion sort below 16 elements. */
+static void sort_rows(float *v, uint8_t *l, int64_t *w, idx_t lo, idx_t hi)
 {
     while (hi - lo > 15) {
         idx_t mid = lo + (hi - lo) / 2, i = lo, j = hi;
-        if (v[lo] > v[mid]) SWAP_PAIR(lo, mid);
-        if (v[mid] > v[hi]) SWAP_PAIR(mid, hi);
-        if (v[lo] > v[mid]) SWAP_PAIR(lo, mid);
+        if (v[lo] > v[mid]) SWAP(lo, mid);
+        if (v[mid] > v[hi]) SWAP(mid, hi);
+        if (v[lo] > v[mid]) SWAP(lo, mid);
         float pivot = v[mid];
         while (i <= j) {
             while (v[i] < pivot) i++;
             while (v[j] > pivot) j--;
-            if (i <= j) { SWAP_PAIR(i, j); i++; j--; }
+            if (i <= j) { SWAP(i, j); i++; j--; }
         }
-        if (j - lo < hi - i) { sort_pairs(v, l, lo, j); lo = i; }
-        else { sort_pairs(v, l, i, hi); hi = j; }
+        if (j - lo < hi - i) { sort_rows(v, l, w, lo, j); lo = i; }
+        else { sort_rows(v, l, w, i, hi); hi = j; }
     }
     for (idx_t i = lo + 1; i <= hi; i++) {
         float tv = v[i];
         uint8_t tl = l[i];
+        int64_t tw = w[i];
         idx_t j = i - 1;
-        for (; j >= lo && v[j] > tv; j--) { v[j + 1] = v[j]; l[j + 1] = l[j]; }
+        for (; j >= lo && v[j] > tv; j--) { v[j + 1] = v[j]; l[j + 1] = l[j]; w[j + 1] = w[j]; }
         v[j + 1] = tv;
         l[j + 1] = tl;
+        w[j + 1] = tw;
     }
 }
 
-/* Best Gini split of the node holding rows idx[0..m) of X (n, d) over the
- * ascending candidate features `feats`; ties keep the first (lower feature,
+/* Best Gini split of the node holding row rows[i] of X (n, d) counts[i]
+ * times, for i < m, over the ascending candidate features `feats`. Sizes,
+ * class tallies and min_leaf count multiplicity, so the result is that of
+ * the node with every row repeated. Ties keep the first (lower feature,
  * then lower threshold). Returns the feature, or -1 when no split exists,
- * and stores the midpoint threshold in *thr. `vals` and `labs` hold m
- * entries of scratch; n_classes <= 16. */
-int64_t best_split(const float *X, idx_t d, const uint8_t *y, const int64_t *idx,
-                   idx_t m, const int64_t *feats, idx_t nf, int64_t min_leaf,
-                   int n_classes, float *vals, uint8_t *labs, double *thr)
+ * and stores the midpoint threshold in *thr. `vals`, `labs` and `wts` hold
+ * m entries of scratch; n_classes <= 16, and the counts sum to at most
+ * MAX_COUNT = 2^28 - 1, so every square below fits int64. */
+int64_t best_split(const float *X, idx_t d, const uint8_t *y, const int64_t *rows,
+                   const int64_t *counts, idx_t m, const int64_t *feats, idx_t nf,
+                   int64_t min_leaf, int n_classes, float *vals, uint8_t *labs,
+                   int64_t *wts, double *thr)
 {
-    int64_t counts[16], totals[16], best_feat = -1;
+    int64_t left[16], totals[16], size = 0, best_feat = -1;
     double best_score = -INFINITY;
     *thr = 0.0;
+    for (int c = 0; c < n_classes; c++)
+        totals[c] = 0;
+    for (idx_t i = 0; i < m; i++) {
+        totals[y[rows[i]]] += counts[i];
+        size += counts[i];
+    }
     for (idx_t fi = 0; fi < nf; fi++) {
-        int64_t f = feats[fi];
+        int64_t f = feats[fi], nl = 0;
         for (int c = 0; c < n_classes; c++)
-            totals[c] = counts[c] = 0;
+            left[c] = 0;
         for (idx_t i = 0; i < m; i++) {
-            vals[i] = X[idx[i] * d + f];
-            labs[i] = y[idx[i]];
-            totals[labs[i]]++;
+            vals[i] = X[rows[i] * d + f];
+            labs[i] = y[rows[i]];
+            wts[i] = counts[i];
         }
-        sort_pairs(vals, labs, 0, m - 1);
+        sort_rows(vals, labs, wts, 0, m - 1);
         for (idx_t i = 0; i + 1 < m; i++) {
-            counts[labs[i]]++;
-            int64_t nl = i + 1, nr = m - nl, sl = 0, sr = 0;
+            left[labs[i]] += wts[i];
+            nl += wts[i];
+            int64_t nr = size - nl, sl = 0, sr = 0;
             if (vals[i] == vals[i + 1] || nl < min_leaf || nr < min_leaf)
                 continue;
             for (int c = 0; c < n_classes; c++) {
-                sl += counts[c] * counts[c];
-                sr += (totals[c] - counts[c]) * (totals[c] - counts[c]);
+                sl += left[c] * left[c];
+                sr += (totals[c] - left[c]) * (totals[c] - left[c]);
             }
             double score = sl / (double)nl + sr / (double)nr;
             if (score > best_score) {

@@ -9,11 +9,13 @@ its compiled twin:
   (comparison-only arithmetic), so both lanes return bit-identical arrays.
   `tree_apply` partitions the rows node by node instead of walking each
   row; every row still meets exactly the comparisons of its walk.
-* `best_split` evaluates the split score with the same float64 operation
-  order as the compiled lane, so grown trees are bit-identical too. It
-  scores all candidate features from one unstable sort: at a value
-  boundary neither the class counts nor the midpoint depend on the order
-  of equal values, and non-boundaries are never scored.
+* `best_split` takes a node as distinct rows with counts and evaluates
+  the split score from the same exact integer tallies, with the same
+  float64 operation order, as the compiled lane, so grown trees are
+  bit-identical too. It scores all candidate features from one unstable
+  sort: at a value boundary neither the class counts nor the midpoint
+  depend on the order of equal values, and non-boundaries are never
+  scored.
 * `glcm_feature_image` tallies identical integer pair counts: the anchor
   sums by box sums over summed-area tables, the count of each level pair
   by sliding-window run sums of its 8-bit indicator image (Huang, Yang &
@@ -24,6 +26,8 @@ its compiled twin:
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -38,19 +42,27 @@ def grey_erode_square(img: np.ndarray, size: int) -> np.ndarray:
     """Minimum filter with a size x size square structuring element.
 
     Out-of-bounds positions are ignored (equivalent to replicate padding
-    for a minimum). Separable: one sliding-min pass per axis.
+    for a minimum). Separable, and by doubling along each axis: the min of
+    a run of 2^(j+1) cells is the min of two runs of 2^j, and a window of
+    `size` cells is the min of the two runs of the largest power of two
+    p <= size that start at its two ends. Min is idempotent, so their
+    overlap changes nothing: each axis takes floor(log2(size)) + 1 passes
+    of np.minimum, and the result is exact.
     """
     r = size // 2
     for axis in (0, 1):
-        padded = np.pad(img, [(r, r) if a == axis else (0, 0) for a in (0, 1)],
-                        mode="constant", constant_values=np.inf)
-        acc = None
-        for k in range(size):
-            sl = [slice(None), slice(None)]
-            sl[axis] = slice(k, k + img.shape[axis])
-            view = padded[tuple(sl)]
-            acc = view.copy() if acc is None else np.minimum(acc, view)
-        img = acc
+        def cut(a, lo, n):
+            return a[(slice(None),) * axis + (slice(lo, lo + n),)]
+
+        n = img.shape[axis]
+        run = np.pad(img, [(r, r) if a == axis else (0, 0) for a in (0, 1)],
+                     mode="constant", constant_values=np.inf)
+        span = 1
+        while 2 * span <= size:
+            m = run.shape[axis] - span
+            run = np.minimum(cut(run, 0, m), cut(run, span, m))
+            span *= 2
+        img = np.minimum(cut(run, 0, n), cut(run, size - span, n))
     return img
 
 
@@ -303,49 +315,80 @@ def glcm_feature_image(levels_img: np.ndarray, window: int, levels: int,
 # CART split search and tree traversal
 # ---------------------------------------------------------------------------
 
-def best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
+# best_split's sort keys: the value's order-preserving bits in the high 32,
+# then the class (4 bits) and the row's count (28 bits)
+_COUNT_BITS = 28
+_HI, _LO = (1, 0) if sys.byteorder == "little" else (0, 1)
+
+
+def _ordered_bits(v: np.ndarray) -> np.ndarray:
+    """int32 that orders as the float32 bits `v` (as int32) do as floats:
+    negative floats have their magnitude bits flipped. An involution."""
+    return v ^ ((v >> 31) & 0x7FFFFFFF)
+
+
+def best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray, counts: np.ndarray,
                feats: np.ndarray, min_leaf: int, n_classes: int = 4):
-    """Best Gini split for the node holding rows `idx` of X.
+    """Best Gini split for the node holding row rows[i] of X counts[i] times.
 
     Maximizes sum(c_left^2)/n_left + sum(c_right^2)/n_right over midpoint
     thresholds of candidate features, with at least `min_leaf` >= 1 rows
     on each side; ties go to the lower feature index, then the lower
-    threshold. Returns (feature, threshold, found).
+    threshold. Returns (feature, threshold, found). Every size and class
+    tally counts each row with its multiplicity, so the result is that of
+    the node with every row repeated: the same boundaries, the same
+    integer tallies and so the same float64 scores.
 
-    All k candidate features are scored in one batch: one unstable sort
-    of the (k, m) value matrix, per-class prefix counts along each row,
-    and one row-major argmax, whose first maximum is the lowest feature
-    row, then the lowest threshold. Only value boundaries are scored, and
-    there the left counts are those of every value <= the boundary and
-    the midpoint is of two distinct values, whatever order equal values
-    took, so the unstable sort changes nothing. A boundary at sorted
-    position i has i + 1 rows on its left; those with at least `min_leaf`
-    on each side form the one slice [lo, hi) of every row.
+    All k candidate features are scored in one batch from one sort of
+    int64 keys per feature row: the value's order-preserving bits (-0.0
+    folded to +0.0, which it equals), the row's class and its count. A
+    row's class and count ride along, so no argsort or label gather is
+    needed. Only value boundaries are scored, where the left tallies are
+    those of every value <= the boundary and the midpoint is of two
+    distinct values, whatever order equal values took. Prefix sums along
+    each row give the left size n_left, L_c per present class but the
+    last (which is n_left less the others), and sum(T_c * L_c), so the
+    right side's sum((T_c - L_c)^2) is sum(T^2) - 2 sum(T_c L_c) +
+    sum(L_c^2) in exact int64. One row-major argmax then takes the first
+    maximum: the lowest feature row, then the lowest threshold.
     """
-    m = idx.size
-    lo, hi = min_leaf - 1, m - min_leaf
-    if feats.size == 0 or lo >= hi:
+    yr = y[rows]
+    totals = np.bincount(yr, weights=counts, minlength=n_classes).astype(np.int64)
+    size = int(totals.sum())
+    k, m = feats.size, rows.size
+    if k == 0 or m < 2 or size < 2 * min_leaf:
         return -1, 0.0, False
-    V = X[idx][:, feats].T
-    order = np.argsort(V, axis=1)
-    SV = np.take_along_axis(V, order, axis=1)
-    YO = y[idx][order]
-    total = np.bincount(YO[0], minlength=n_classes)
-    sl = np.zeros((feats.size, hi - lo), dtype=np.int64)
-    sr = np.zeros_like(sl)
-    for c in np.flatnonzero(total):
-        left = np.cumsum(YO == c, axis=1)[:, lo:hi]
-        sl += left * left
-        left -= total[c]
-        sr += left * left
-    nl = np.arange(lo + 1, hi + 1)
-    score = sl / nl + sr / (m - nl)
-    score[SV[:, lo:hi] == SV[:, lo + 1:hi + 1]] = -np.inf
-    row, col = divmod(int(np.argmax(score)), hi - lo)
+    keys = np.empty((k, m), dtype=np.int64)
+    half = keys.view(np.uint32).reshape(k, m, 2)
+    bits = (np.take(X, rows, axis=0)[:, feats].T + np.float32(0.0)).view(np.int32)
+    half[..., _HI] = _ordered_bits(bits)
+    half[..., _LO] = (yr.astype(np.uint32) << _COUNT_BITS) | counts.astype(np.uint32)
+    keys.sort(axis=1)
+    low = half[..., _LO]
+    w = low & ((1 << _COUNT_BITS) - 1)
+    cls = low >> _COUNT_BITS
+    n_left = np.cumsum(w, axis=1, dtype=np.int64)[:, :-1]
+    lt = np.cumsum(np.take(totals, cls) * w, axis=1)[:, :-1]
+    present = np.flatnonzero(totals)
+    rest = n_left.copy()
+    sl = np.zeros_like(n_left)
+    for c in present[:-1]:
+        left = np.cumsum(np.multiply(w, cls == c), axis=1, dtype=np.int64)[:, :-1]
+        rest -= left
+        left *= left
+        sl += left
+    rest *= rest
+    sl += rest
+    sr = totals @ totals - 2 * lt + sl
+    score = sl / n_left + sr / (size - n_left)
+    value = half[..., _HI].view(np.int32)
+    score[(value[:, 1:] == value[:, :-1]) | (n_left < min_leaf)
+          | (n_left > size - min_leaf)] = -np.inf
+    row, col = divmod(int(np.argmax(score)), m - 1)
     if score[row, col] == -np.inf:
         return -1, 0.0, False
-    i = lo + col
-    return int(feats[row]), 0.5 * (float(SV[row, i]) + float(SV[row, i + 1])), True
+    a, b = _ordered_bits(value[row, col:col + 2]).view(np.float32)
+    return int(feats[row]), 0.5 * (float(a) + float(b)), True
 
 
 def tree_apply(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,

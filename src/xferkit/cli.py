@@ -195,6 +195,10 @@ def cmd_rf_train(args) -> int:
     if args.height and len(args.height) != len(args.raster):
         raise ValueError("need one --height per --raster (or none at all)")
     params = rf.GlcmParams(window=args.window, levels=args.levels)
+    hp = rf.RfHyperparams(
+        n_trees=args.trees, max_depth=args.max_depth,
+        min_samples_leaf=args.min_leaf, min_samples_split=args.min_split,
+        features_per_split=args.features_per_split, seed=args.seed)
     stacks = []
     labels = []
     for i, raster_path in enumerate(args.raster):
@@ -203,10 +207,6 @@ def cmd_rf_train(args) -> int:
         labels.append(xras.read_label_map(args.labels[i]))
     data = rf.sample_pixels(stacks, labels, args.samples, args.seed,
                             stratified=args.stratified)
-    hp = rf.RfHyperparams(
-        n_trees=args.trees, max_depth=args.max_depth,
-        min_samples_leaf=args.min_leaf, min_samples_split=args.min_split,
-        features_per_split=args.features_per_split, seed=args.seed)
     model = rf.rf_train(data, hp)
     rf.save_forest(model, args.out)
     if args.json_out:

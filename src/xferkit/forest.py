@@ -56,6 +56,10 @@ class RfHyperparams:
             raise ValueError("need at least one tree")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        if self.min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise ValueError("features_per_split must be >= 1 (or None for ceil(sqrt(d)))")
         if self.min_samples_split < 2 * self.min_samples_leaf:
             raise ValueError("min_samples_split must be >= 2 * min_samples_leaf")
 
@@ -271,40 +275,41 @@ def sample_pixels(feature_stacks: Sequence[np.ndarray],
 def _grow_tree(X: np.ndarray, y: np.ndarray, hp: RfHyperparams, k: int,
                rng: np.random.Generator) -> Tree:
     n, d = X.shape
-    boot = rng.integers(0, n, size=n, dtype=np.int64)
+    drawn = np.bincount(rng.integers(0, n, size=n, dtype=np.int64), minlength=n)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     counts: list[np.ndarray] = []
 
-    def grow(idx: np.ndarray, depth: int) -> int:
+    def grow(rows: np.ndarray, mult: np.ndarray, depth: int) -> int:
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        hist = np.bincount(y[idx], minlength=N_CLASSES).astype(np.int64)
+        hist = np.bincount(y[rows], weights=mult, minlength=N_CLASSES).astype(np.int64)
         counts.append(hist)
         pure = int((hist > 0).sum()) <= 1
-        if depth >= hp.max_depth or idx.size < hp.min_samples_split or pure:
+        if depth >= hp.max_depth or hist.sum() < hp.min_samples_split or pure:
             return node
         feats = rng.choice(d, size=k, replace=False)
-        f, thr, ok = kernels.best_split(X, y, idx, feats,
+        f, thr, ok = kernels.best_split(X, y, rows, mult, feats,
                                         hp.min_samples_leaf, N_CLASSES)
         if not ok:
             return node
         # compare in float64, as best_split scored and tree_apply routes:
         # a float32 comparison would round the midpoint onto a data value
-        go_left = X[idx, f] <= np.float64(thr)
+        go_left = X[rows, f] <= np.float64(thr)
         feature[node] = f
         threshold[node] = thr
         counts[node] = np.zeros(N_CLASSES, dtype=np.int64)
-        left[node] = grow(idx[go_left], depth + 1)
-        right[node] = grow(idx[~go_left], depth + 1)
+        left[node] = grow(rows[go_left], mult[go_left], depth + 1)
+        right[node] = grow(rows[~go_left], mult[~go_left], depth + 1)
         return node
 
-    grow(boot, 0)
+    rows = np.flatnonzero(drawn)
+    grow(rows, drawn[rows], 0)
     return Tree(np.array(feature, dtype=np.int32),
                 np.array(threshold, dtype=np.float64),
                 np.array(left, dtype=np.int32),
@@ -315,6 +320,11 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, hp: RfHyperparams, k: int,
 def rf_train(data: PixelDataset, hp: RfHyperparams) -> Forest:
     """Train the forest: per-tree bootstrap, CART splits minimizing Gini
     over a random feature subset per node, midpoint thresholds.
+
+    A tree's bootstrap draws n rows with replacement and is carried as
+    counts: each drawn row once, with the number of times it was drawn.
+    Node sizes, class histograms and both sample limits count those
+    multiplicities, so the trees are those grown on the repeated rows.
 
     Deterministic under a fixed seed; tree i draws from its own stream
     seeded (seed, i), so the first k trees of any run coincide.

@@ -1,6 +1,6 @@
 """The compiled lane builds from a clean copy of the sources and passes the
-kernel and lane-parity tests, so Tier-1 exercises it even where the working
-tree holds no build."""
+kernel and lane-parity tests and the pinned forest digests, so Tier-1
+exercises it even where the working tree holds no build."""
 
 import os
 import shutil
@@ -30,7 +30,11 @@ def test_compiled_lane_builds_and_passes_kernel_tests(tmp_path):
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_kernels.py"),
-         str(ROOT / "tests" / "test_kernel_parity.py")],
+         str(ROOT / "tests" / "test_kernel_parity.py"),
+         # the C split search against the pinned forest digests, fed counts
+         str(ROOT / "tests" / "test_forest.py") + "::TestTraining::test_forest_bytes_pinned",
+         str(ROOT / "tests" / "test_forest.py")
+         + "::TestTraining::test_bootstrap_reaches_best_split_as_counts"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
     assert "skipped" not in run.stdout

@@ -38,6 +38,17 @@ def model_path(domain_dir, tmp_path_factory):
     return out
 
 
+def test_rf_train_rejects_zero_features_per_split(domain_dir, tmp_path, capsys):
+    out = tmp_path / "model.xrfc"
+    rc = main(["rf", "train",
+               "--raster", str(domain_dir / "scene_000_rgbn.xras"),
+               "--labels", str(domain_dir / "scene_000_labels.xras"),
+               *RF_ARGS, "--features-per-split", "0", "--out", str(out)])
+    assert rc == 1
+    assert "features_per_split must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_generate_outputs(domain_dir):
     manifest = json.loads((domain_dir / "manifest.json").read_text())
     assert manifest["n_scenes"] == 2

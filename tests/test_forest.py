@@ -294,6 +294,34 @@ class TestTraining:
             rf.RfHyperparams(min_samples_leaf=100, min_samples_split=150)
         assert rf.RfHyperparams().k_features(11) == math.ceil(math.sqrt(11))
 
+    @pytest.mark.parametrize("field,value", [
+        ("features_per_split", 0), ("features_per_split", -1),
+        ("min_samples_leaf", 0), ("min_samples_leaf", -3)])
+    def test_degenerate_hyperparams_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            rf.RfHyperparams(**{field: value})
+
+    def test_bootstrap_reaches_best_split_as_counts(self, monkeypatch):
+        """The root's split search gets each drawn row once: as many rows
+        as the bootstrap drew distinct ones, with counts summing to n."""
+        X, y = xor_dataset(n=600)
+        calls = []
+
+        def spy(X, y, rows, counts, *args):
+            calls.append((np.asarray(rows).copy(), np.asarray(counts).copy()))
+            return best_split(X, y, rows, counts, *args)
+
+        best_split = _kernels.best_split
+        monkeypatch.setattr(_kernels, "best_split", spy)
+        hp = rf.RfHyperparams(n_trees=1, max_depth=3, min_samples_leaf=5,
+                              min_samples_split=10, seed=4)
+        rf.rf_train(rf.PixelDataset(X, y), hp)
+        boot = np.random.default_rng([hp.seed, 0]).integers(0, y.size, size=y.size)
+        rows, counts = calls[0]
+        np.testing.assert_array_equal(rows, np.unique(boot))
+        assert rows.size < y.size and counts.sum() == y.size
+        np.testing.assert_array_equal(counts, np.bincount(boot)[rows])
+
 
 def _leaf_tree(counts):
     return rf.Tree(np.array([-1], dtype=np.int32), np.zeros(1),

@@ -59,11 +59,11 @@ def test_best_split_identical_results(both, rng):
         if trial % 3 == 0:
             X = np.round(X)         # heavy value ties
         y = rng.integers(0, 4, size=n).astype(np.uint8)
-        idx = rng.integers(0, n, size=n).astype(np.int64)
+        rows, counts = np.unique(rng.integers(0, n, size=n), return_counts=True)
         k = int(rng.integers(1, d + 1))
         feats = rng.choice(d, size=k, replace=False).astype(np.int64)
         min_leaf = int(rng.integers(1, max(2, n // 4)))
-        a, b = both("best_split", X, y, idx, feats, min_leaf)
+        a, b = both("best_split", X, y, rows, counts, feats, min_leaf)
         assert a == b
 
 

@@ -55,6 +55,18 @@ def test_erode_matches_brute_force(kernels, rng):
     np.testing.assert_array_equal(kernels.grey_erode_square(img, size), expect)
 
 
+@pytest.mark.parametrize("size", [1, 3, 7, 9, 15, 27, 63])
+def test_erode_any_size_matches_brute_force(kernels, size, rng):
+    """Window sizes that are and are not powers of two plus one, and wider
+    than the 11 x 13 image, over -inf pixels and ties."""
+    img = np.round(rng.uniform(0, 10, (11, 13))).astype(np.float32)
+    img[rng.uniform(size=img.shape) < 0.05] = -np.inf
+    r = size // 2
+    expect = np.array([[img[max(0, y - r):y + r + 1, max(0, x - r):x + r + 1].min()
+                        for x in range(13)] for y in range(11)], dtype=np.float32)
+    np.testing.assert_array_equal(kernels.grey_erode_square(img, size), expect)
+
+
 def test_reconstruction_rejects_bad_marker(kernels):
     mask = np.zeros((3, 3), dtype=np.float32)
     marker = np.ones((3, 3), dtype=np.float32)
@@ -197,11 +209,50 @@ def test_best_split_matches_oracle(kernels, ties):
         X[:, rng.integers(d)] = 0.25
         y = rng.integers(0, 4, n).astype(np.uint8)
         idx = rng.integers(0, n, int(rng.integers(2, 61)))
+        rows, counts = np.unique(idx, return_counts=True)
         for k in range(1, d + 1):
             feats = rng.choice(d, size=k, replace=False)
             min_leaf = int(rng.integers(1, max(2, idx.size // 3)))
-            assert kernels.best_split(X, y, idx, feats, min_leaf) == \
+            assert kernels.best_split(X, y, rows, counts, feats, min_leaf) == \
                 best_split_oracle(X, y, idx, feats, min_leaf)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+def test_best_split_counts_match_repeated_rows(kernels, ties):
+    """Distinct rows with counts 1 to 5 score as the node with each row
+    repeated: the oracle on np.repeat(rows, counts). Each X has a constant
+    column and one mixing -0.0 and +0.0 (equal values: no boundary between
+    them) with a few other values; `ties` rounds the rest to integers."""
+    rng = np.random.default_rng(29 + ties)
+    for _ in range(12):
+        n, d = int(rng.integers(3, 40)), int(rng.integers(2, 6))
+        X = rng.normal(size=(n, d)).astype(np.float32)
+        if ties:
+            X = np.round(X)
+        zeros = rng.choice([-0.0, 0.0, 0.5, -1.5], size=n, p=[0.4, 0.4, 0.1, 0.1])
+        X[:, 0] = zeros.astype(np.float32)
+        X[:, rng.integers(1, d)] = -2.0
+        y = rng.integers(0, 4, n).astype(np.uint8)
+        rows = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+        counts = rng.integers(1, 6, rows.size)
+        node = np.repeat(rows, counts)
+        for k in range(1, d + 1):
+            feats = rng.choice(d, size=k, replace=False)
+            min_leaf = int(rng.integers(1, max(2, node.size // 3)))
+            assert kernels.best_split(X, y, rows, counts, feats, min_leaf) == \
+                best_split_oracle(X, y, node, feats, min_leaf)
+
+
+@pytest.mark.parametrize("count,found", [(20, True), (19, False)])
+def test_best_split_min_leaf_counts_multiplicity(kernels, count, found):
+    """Three distinct rows of count 20 split at min_leaf 20, as the 60 rows
+    they stand for do; at count 19 no side can hold 20."""
+    X = np.array([[0.0], [1.0], [2.0]], dtype=np.float32)
+    y = np.array([0, 1, 1], dtype=np.uint8)
+    rows, counts = np.arange(3), np.full(3, count)
+    got = kernels.best_split(X, y, rows, counts, [0], 20)
+    assert got == best_split_oracle(X, y, np.repeat(rows, counts), [0], 20)
+    assert got == ((0, 0.5, True) if found else (-1, 0.0, False))
 
 
 def test_best_split_tie_rule(kernels):
@@ -211,22 +262,22 @@ def test_best_split_tie_rule(kernels):
     y = np.array([0, 1, 1, 0], dtype=np.uint8)
     idx = np.arange(4)
     assert best_split_oracle(X, y, idx, [1, 0], 1) == (0, 0.5, True)
-    assert kernels.best_split(X, y, idx, [1, 0], 1) == (0, 0.5, True)
+    assert kernels.best_split(X, y, idx, np.ones(4), [1, 0], 1) == (0, 0.5, True)
 
 
 @pytest.mark.parametrize("m", [39, 40])
 def test_best_split_min_leaf_edges(kernels, m):
     """min_leaf 0 acts as 1; at m // 2 only the middle boundaries remain;
     a node with m < 2 * min_leaf has no split."""
-    X, y, idx, feats = split_input()
-    idx = idx[:m]
-    one = kernels.best_split(X, y, idx, feats, 1)
+    X, y, rows, counts, feats = split_input()
+    idx, counts = rows[:m], counts[:m]
+    one = kernels.best_split(X, y, idx, counts, feats, 1)
     assert one[2] and one == best_split_oracle(X, y, idx, feats, 1)
-    assert kernels.best_split(X, y, idx, feats, 0) == one
+    assert kernels.best_split(X, y, idx, counts, feats, 0) == one
     half = m // 2
-    got = kernels.best_split(X, y, idx, feats, half)
+    got = kernels.best_split(X, y, idx, counts, feats, half)
     assert got[2] and got == best_split_oracle(X, y, idx, feats, half)
-    assert kernels.best_split(X, y, idx, feats, half + 1) == (-1, 0.0, False)
+    assert kernels.best_split(X, y, idx, counts, feats, half + 1) == (-1, 0.0, False)
 
 
 def random_tree(rng, d, depth, cuts):
@@ -285,7 +336,8 @@ def split_input():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(40, 3)).astype(np.float32)
     y = rng.integers(0, 4, 40).astype(np.uint8)
-    return X, y, np.arange(40, dtype=np.int64), np.arange(3, dtype=np.int64)
+    return (X, y, np.arange(40, dtype=np.int64), np.ones(40, dtype=np.int64),
+            np.arange(3, dtype=np.int64))
 
 
 def tree_input():
@@ -336,32 +388,50 @@ def test_glcm_rejects_levels_that_overflow(kernels, levels):
 
 @pytest.mark.parametrize("row", [-1, 40])
 def test_best_split_rejects_idx_out_of_range(kernels, row):
-    X, y, idx, feats = split_input()
-    idx[7] = row
-    with pytest.raises(ValueError, match="idx"):
-        kernels.best_split(X, y, idx, feats, 2)
+    X, y, rows, counts, feats = split_input()
+    rows[7] = row
+    with pytest.raises(ValueError, match="rows"):
+        kernels.best_split(X, y, rows, counts, feats, 2)
+
+
+@pytest.mark.parametrize("where,value", [
+    (7, 0), (7, -2), (7, _kernels.MAX_COUNT + 1),
+    (slice(None), _kernels.MAX_COUNT // 39),     # each fits, the sum does not
+])
+def test_best_split_rejects_bad_counts(kernels, where, value):
+    X, y, rows, counts, feats = split_input()
+    counts[where] = value
+    with pytest.raises(ValueError, match="counts must be >= 1"):
+        kernels.best_split(X, y, rows, counts, feats, 2)
+
+
+@pytest.mark.parametrize("shape", [(39,), (41,), (40, 1)])
+def test_best_split_rejects_counts_unlike_rows(kernels, shape):
+    X, y, rows, _, feats = split_input()
+    with pytest.raises(ValueError, match="counts must be shaped like rows"):
+        kernels.best_split(X, y, rows, np.ones(shape, dtype=np.int64), feats, 2)
 
 
 @pytest.mark.parametrize("feat", [-1, 3])
 def test_best_split_rejects_feature_out_of_range(kernels, feat):
-    X, y, idx, feats = split_input()
+    X, y, rows, counts, feats = split_input()
     feats[1] = feat
     with pytest.raises(ValueError, match="feats"):
-        kernels.best_split(X, y, idx, feats, 2)
+        kernels.best_split(X, y, rows, counts, feats, 2)
 
 
 def test_best_split_rejects_label_out_of_range(kernels):
-    X, y, idx, feats = split_input()
+    X, y, rows, counts, feats = split_input()
     y[5] = 4
     with pytest.raises(ValueError, match="label"):
-        kernels.best_split(X, y, idx, feats, 2, n_classes=4)
+        kernels.best_split(X, y, rows, counts, feats, 2, n_classes=4)
 
 
 @pytest.mark.parametrize("n_classes", [0, 17])
 def test_best_split_rejects_bad_class_count(kernels, n_classes):
-    X, y, idx, feats = split_input()
+    X, y, rows, counts, feats = split_input()
     with pytest.raises(ValueError, match="n_classes"):
-        kernels.best_split(X, y, idx, feats, 2, n_classes=n_classes)
+        kernels.best_split(X, y, rows, counts, feats, 2, n_classes=n_classes)
 
 
 def test_tree_apply_rejects_feature_out_of_range(kernels):
