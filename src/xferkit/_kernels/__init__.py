@@ -1,15 +1,20 @@
 """The hot kernels, behind one checked front.
 
-Each kernel has two lanes with one contract (see `pure`): `compiled`, the
-C loops of `kernels.c`, and `pure`, numpy only. The compiled lane is used
-when its library loads, and `FALLBACK_REASON` keeps why it did not; set
-``XFERKIT_BACKEND=pure`` (or ``compiled``) to force a lane.
+Two kernels have two lanes with one contract (see `pure`):
+`reconstruct_dilation` and `tree_apply` run the C loops of `kernels.c` on
+the `compiled` lane and numpy on the `pure` lane. The other three,
+`grey_erode_square`, `glcm_feature_image` and `best_split`, have one
+implementation, numpy in `pure`, which every lane calls: numpy outruns
+plain C loops on them. The compiled lane is used when its library
+loads, and `FALLBACK_REASON` keeps why it did not; set
+``XFERKIT_BACKEND=pure`` (or ``compiled``) to force a lane. `compiled`
+means the C kernel where one exists.
 
 The functions below coerce dtypes and contiguity and check every contract
-once, then call the selected lane. The lanes check nothing: the C loops
-index memory with what they are given. `best_split` takes its node as
-distinct rows with their counts (a bootstrap without its copies), and
-counts every size and tally with that multiplicity.
+once, then call the kernel. The kernels check nothing: the C loops index
+memory with what they are given. `best_split` takes its node as distinct
+rows with their counts (a bootstrap without its copies), and counts every
+size and tally with that multiplicity.
 """
 
 from __future__ import annotations
@@ -36,9 +41,12 @@ if _requested == "compiled" and compiled is None:
 _lane = pure if _requested == "pure" or compiled is None else compiled
 BACKEND = _lane.NAME
 
-MAX_CLASSES = 16         # best_split's class tallies are fixed [16] arrays
-MAX_COUNT = 2**28 - 1    # best_split's node size with multiplicity: a count
-                         # packs into 28 bits, and squared tallies fit int64
+# best_split's limits come from the sort key of `pure.best_split`: the low
+# uint32 of each key packs a row's count into its `_COUNT_BITS` = 28 low
+# bits and the row's class into the 4 bits above them
+MAX_CLASSES = 16         # classes 0..15: class 15 sets the top bit
+MAX_COUNT = 2**28 - 1    # node size with multiplicity: so every count fits
+                         # its 28 bits, and squared tallies fit int64
 MAX_LEVELS = 46340       # GLCM pair codes a*levels+b must fit a 32-bit int
 
 
@@ -61,7 +69,7 @@ def grey_erode_square(img, size: int) -> np.ndarray:
         raise ValueError("structuring element size must be odd and >= 1")
     if np.isnan(img).any():
         raise ValueError("img must not hold NaN")
-    return _lane.grey_erode_square(img, int(size))
+    return pure.grey_erode_square(img, int(size))
 
 
 def reconstruct_dilation(marker, mask) -> np.ndarray:
@@ -86,8 +94,8 @@ def glcm_feature_image(levels_img, window: int, levels: int, offsets) -> np.ndar
     if window < 1 or window % 2 != 1:
         raise ValueError("GLCM window must be odd and >= 1")
     offsets = np.ascontiguousarray(offsets, dtype=np.int64).reshape(-1, 2)
-    return _lane.glcm_feature_image(_image(q, np.int32, "levels_img"), int(window),
-                                    int(levels), offsets)
+    return pure.glcm_feature_image(_image(q, np.int32, "levels_img"), int(window),
+                                   int(levels), offsets)
 
 
 def best_split(X, y, rows, counts, feats, min_leaf: int, n_classes: int = 4):
@@ -124,8 +132,8 @@ def best_split(X, y, rows, counts, feats, min_leaf: int, n_classes: int = 4):
         raise ValueError("feats holds a feature outside [0, d)")
     if not _in_range(y[rows], 0, n_classes):
         raise ValueError("a label of the node lies outside [0, n_classes)")
-    return _lane.best_split(X, np.ascontiguousarray(y, dtype=np.uint8), rows, counts,
-                            feats, max(int(min_leaf), 1), int(n_classes))
+    return pure.best_split(X, np.ascontiguousarray(y, dtype=np.uint8), rows, counts,
+                           feats, max(int(min_leaf), 1), int(n_classes))
 
 
 def tree_apply(feature, threshold, left, right, X) -> np.ndarray:

@@ -1,28 +1,29 @@
 """Numpy implementations of the hot kernels.
 
-This is the fallback lane used when the compiled library is unavailable.
 The front in `xferkit._kernels` coerces and checks every argument first,
-so these functions hold only the algorithms. Each has the same contract as
-its compiled twin:
+so these functions hold only the algorithms.
 
-* `grey_erode_square`, `reconstruct_dilation` and `tree_apply` are exact
-  (comparison-only arithmetic), so both lanes return bit-identical arrays.
-  `tree_apply` partitions the rows node by node instead of walking each
-  row; every row still meets exactly the comparisons of its walk.
+* `reconstruct_dilation` and `tree_apply` are the fallback lane, used when
+  the compiled library is unavailable. Like their C twins in `kernels.c`
+  they are exact (comparison-only arithmetic), so both lanes return
+  bit-identical arrays. `tree_apply` partitions the rows node by node
+  instead of walking each row; every row still meets exactly the
+  comparisons of its walk.
+* `grey_erode_square`, `best_split` and `glcm_feature_image` are the only
+  implementation of their kernels, called on every lane. Erosion is exact
+  (min only).
 * `best_split` takes a node as distinct rows with counts and evaluates
-  the split score from the same exact integer tallies, with the same
-  float64 operation order, as the compiled lane, so grown trees are
-  bit-identical too. It scores all candidate features from one unstable
-  sort: at a value boundary neither the class counts nor the midpoint
-  depend on the order of equal values, and non-boundaries are never
-  scored.
-* `glcm_feature_image` tallies identical integer pair counts: the anchor
+  the split score from exact integer tallies, so grown trees are
+  bit-identical on every lane. It scores all candidate features from one
+  unstable sort: at a value boundary neither the class counts nor the
+  midpoint depend on the order of equal values, and non-boundaries are
+  never scored.
+* `glcm_feature_image` tallies exact integer pair counts: the anchor
   sums by box sums over summed-area tables, the count of each level pair
   by sliding-window run sums of its 8-bit indicator image (Huang, Yang &
-  Tang 1979). Its statistics may differ from the compiled lane by float64
-  summation order only (well below 1e-9). Within the lane the per-pair
-  terms are looked up from the exact counts and folded in sorted pair
-  order, so neither the counting method nor the block size changes a bit.
+  Tang 1979). The per-pair terms are looked up from the exact counts and
+  folded in sorted pair order, so neither the counting method nor the
+  block size changes a bit.
 """
 
 from __future__ import annotations

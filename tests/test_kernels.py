@@ -1,9 +1,12 @@
-"""Kernel checks against brute force and the oracles, on every lane present.
+"""Kernel checks against brute force and the oracles.
 
-Each test calls the checked front in `xferkit._kernels` with the lane under
-test selected, so the contract checks run as in production. The pure lane
-is always tested; the compiled lane joins when its library is built.
-Lane-against-lane agreement lives in test_kernel_parity.py.
+Each test calls the checked front in `xferkit._kernels`, so the contract
+checks run as in production. Reconstruction and tree traversal run on
+every lane present (the `kernels` fixture): the pure lane always, the
+compiled lane when its library is built. Erosion, GLCM and split search
+have one implementation, `pure`, on every lane, so their tests run once
+(the `front` fixture). Lane-against-lane agreement lives in
+test_kernel_parity.py.
 """
 
 import hashlib
@@ -30,6 +33,13 @@ def kernels(request, monkeypatch):
     return _kernels
 
 
+@pytest.fixture(params=[pytest.param(pure, id="pure")])
+def front():
+    """The front in `xferkit._kernels`, for the kernels that call `pure`
+    whatever the lane: one run, named after that implementation."""
+    return _kernels
+
+
 def serpentine(h, w, rng):
     """One-pixel corridor winding through the image: every even row, joined
     at alternating ends through the odd rows; zero walls elsewhere. Returns
@@ -44,27 +54,34 @@ def serpentine(h, w, rng):
     return marker, mask
 
 
-def test_erode_matches_brute_force(kernels, rng):
+def brute_erode(img, size):
+    """The minimum over each pixel's size x size window, clipped to the image."""
+    r = size // 2
+    h, w = img.shape
+    return np.array([[img[max(0, y - r):y + r + 1, max(0, x - r):x + r + 1].min()
+                      for x in range(w)] for y in range(h)], dtype=np.float32)
+
+
+def test_erode_matches_brute_force(front, rng):
     img = rng.uniform(0, 10, (11, 13)).astype(np.float32)
-    size, r = 5, 2
-    expect = np.empty_like(img)
-    for y in range(11):
-        for x in range(13):
-            expect[y, x] = img[max(0, y - r):y + r + 1,
-                               max(0, x - r):x + r + 1].min()
-    np.testing.assert_array_equal(kernels.grey_erode_square(img, size), expect)
+    np.testing.assert_array_equal(front.grey_erode_square(img, 5), brute_erode(img, 5))
 
 
 @pytest.mark.parametrize("size", [1, 3, 7, 9, 15, 27, 63])
-def test_erode_any_size_matches_brute_force(kernels, size, rng):
+def test_erode_any_size_matches_brute_force(front, size, rng):
     """Window sizes that are and are not powers of two plus one, and wider
     than the 11 x 13 image, over -inf pixels and ties."""
     img = np.round(rng.uniform(0, 10, (11, 13))).astype(np.float32)
     img[rng.uniform(size=img.shape) < 0.05] = -np.inf
-    r = size // 2
-    expect = np.array([[img[max(0, y - r):y + r + 1, max(0, x - r):x + r + 1].min()
-                        for x in range(13)] for y in range(11)], dtype=np.float32)
-    np.testing.assert_array_equal(kernels.grey_erode_square(img, size), expect)
+    np.testing.assert_array_equal(front.grey_erode_square(img, size), brute_erode(img, size))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (23, 31)])
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_erode_thin_images_match_brute_force(front, shape, size, rng):
+    """Single rows, columns and pixels, and negative values."""
+    img = rng.uniform(-5, 40, shape).astype(np.float32)
+    np.testing.assert_array_equal(front.grey_erode_square(img, size), brute_erode(img, size))
 
 
 def test_reconstruction_rejects_bad_marker(kernels):
@@ -120,22 +137,22 @@ def glcm_scene():
 
 @pytest.mark.parametrize("window", [3, 13])
 @pytest.mark.parametrize("offset", [(12, 0), (0, 11), "window"])
-def test_glcm_long_offset_adds_no_pair(kernels, window, offset, rng):
+def test_glcm_long_offset_adds_no_pair(front, window, offset, rng):
     """An offset as long as the image or the window adds no pair: alone it
     leaves all six statistics 0, and beside a short offset it changes no
     value. At window 13 every offset here is longer than the image."""
     q = rng.integers(-1, 8, (10, 10)).astype(np.int32)
     long = (0, window) if offset == "window" else offset
-    alone = kernels.glcm_feature_image(q, window, 8, np.array([long]))
+    alone = front.glcm_feature_image(q, window, 8, np.array([long]))
     assert alone.shape == (6, 10, 10) and not alone.any()
-    short = kernels.glcm_feature_image(q, window, 8, np.array([(1, 1)]))
-    both = kernels.glcm_feature_image(q, window, 8, np.array([(1, 1), long]))
+    short = front.glcm_feature_image(q, window, 8, np.array([(1, 1)]))
+    both = front.glcm_feature_image(q, window, 8, np.array([(1, 1), long]))
     np.testing.assert_array_equal(both, short)
 
 
-def test_glcm_matches_oracle_across_blocks(kernels, rng):
+def test_glcm_matches_oracle_across_blocks(front, rng):
     q = glcm_scene()
-    feats = kernels.glcm_feature_image(q, 13, 32, OFFSETS)
+    feats = front.glcm_feature_image(q, 13, 32, OFFSETS)
     centers = [(0, 0), (0, 63), (63, 0), (63, 63)]
     centers += [tuple(c) for c in rng.integers(0, 64, (8, 2))]
     for cy, cx in centers:
@@ -143,8 +160,20 @@ def test_glcm_matches_oracle_across_blocks(kernels, rng):
         np.testing.assert_allclose(feats[:, cy, cx], expect, atol=1e-9)
 
 
+@pytest.mark.parametrize("window,levels", [(3, 4), (5, 8)])
+def test_glcm_small_windows_match_oracle(front, window, levels, rng):
+    """Narrow windows and few levels, from int16 levels with invalid
+    pixels: every pixel against the oracle."""
+    q = rng.integers(-1, levels, size=(17, 19)).astype(np.int16)
+    feats = front.glcm_feature_image(q, window, levels, OFFSETS)
+    for cy in range(17):
+        for cx in range(19):
+            expect = glcm_window_oracle(q, window, levels, OFFSETS, cy, cx)
+            np.testing.assert_allclose(feats[:, cy, cx], expect, atol=1e-9)
+
+
 @pytest.mark.parametrize("window", [15, 17, 31, 37])
-def test_glcm_wide_windows_match_oracle(kernels, window, rng):
+def test_glcm_wide_windows_match_oracle(front, window, rng):
     """Wide windows on an image with invalid pixels: 15 is the widest whose
     per-offset counts the pure lane keeps in uint8; 17, 31 and 37 (as
     wide as the image) count in int32. A constant 20x20 corner makes one
@@ -152,7 +181,7 @@ def test_glcm_wide_windows_match_oracle(kernels, window, rng):
     q = rng.integers(0, 8, (40, 37)).astype(np.int32)
     q[rng.uniform(size=q.shape) < 0.05] = -1
     q[:20, :20] = 3
-    feats = kernels.glcm_feature_image(q, window, 8, OFFSETS)
+    feats = front.glcm_feature_image(q, window, 8, OFFSETS)
     centers = [(0, 0), (0, 36), (39, 0), (39, 36), (10, 10)]
     centers += [tuple(c) for c in rng.integers(0, (40, 37), (6, 2))]
     for cy, cx in centers:
@@ -164,11 +193,10 @@ def test_glcm_wide_windows_match_oracle(kernels, window, rng):
     ("random", "a6c50c50081bf3578ad8c303cdf5576a906ab7e9b5e4b61754853649a56aa6f2"),
     ("scene", "5d4776644957a602a2239744beaf04790ccdbdced6b15bb32a6a2baa1ea3cc54"),
 ])
-def test_glcm_bytes_pinned(monkeypatch, image, digest):
+def test_glcm_bytes_pinned(image, digest):
     """The pure lane's statistics, bit for bit, on `glcm_scene()` and on
     the luminance levels of a 128x128 synthetic scene. The digests were
     recorded when the pair counts were box sums over summed-area tables."""
-    monkeypatch.setattr(_kernels, "_lane", pure)
     if image == "random":
         q = glcm_scene()
     else:
@@ -181,7 +209,6 @@ def test_glcm_bytes_pinned(monkeypatch, image, digest):
 def test_glcm_block_size_does_not_change_output(monkeypatch):
     """The pure lane's pair blocks change no bit of the output: one pair
     per block, five per block (the last one partial) and the default."""
-    monkeypatch.setattr(_kernels, "_lane", pure)
     q = glcm_scene()
     table = (64 + 12) ** 2                  # padded cells of one pair
     assert 1 < pure.BLOCK_CELLS // table < 528 // 4
@@ -195,30 +222,37 @@ def test_glcm_block_size_does_not_change_output(monkeypatch):
 # CART split search and tree traversal
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
-def test_best_split_matches_oracle(kernels, ties):
+@pytest.mark.parametrize("ties,n_classes", [
+    (False, 4), (True, 4),
+    (False, _kernels.MAX_CLASSES), (True, _kernels.MAX_CLASSES),
+], ids=["distinct", "tied", "distinct-16-classes", "tied-16-classes"])
+def test_best_split_matches_oracle(front, ties, n_classes):
     """Random nodes of 2 to 60 rows drawn with duplicates from n rows, a
     constant column, every k from 1 to d, and min_leaf from 1 to a third
-    of the node; `ties` rounds the values to a few integers."""
-    rng = np.random.default_rng(17 + ties)
+    of the node; `ties` rounds the values to a few integers. With 16
+    classes every third row is class 15, whose bits top the sort key of
+    `pure.best_split`."""
+    rng = np.random.default_rng(17 + ties + n_classes - 4)
     for _ in range(12):
         n, d = int(rng.integers(2, 40)), int(rng.integers(1, 6))
         X = rng.normal(size=(n, d)).astype(np.float32)
         if ties:
             X = np.round(X)
         X[:, rng.integers(d)] = 0.25
-        y = rng.integers(0, 4, n).astype(np.uint8)
+        y = rng.integers(0, n_classes, n).astype(np.uint8)
+        if n_classes == _kernels.MAX_CLASSES:
+            y[::3] = n_classes - 1
         idx = rng.integers(0, n, int(rng.integers(2, 61)))
         rows, counts = np.unique(idx, return_counts=True)
         for k in range(1, d + 1):
             feats = rng.choice(d, size=k, replace=False)
             min_leaf = int(rng.integers(1, max(2, idx.size // 3)))
-            assert kernels.best_split(X, y, rows, counts, feats, min_leaf) == \
-                best_split_oracle(X, y, idx, feats, min_leaf)
+            assert front.best_split(X, y, rows, counts, feats, min_leaf, n_classes) == \
+                best_split_oracle(X, y, idx, feats, min_leaf, n_classes)
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
-def test_best_split_counts_match_repeated_rows(kernels, ties):
+def test_best_split_counts_match_repeated_rows(front, ties):
     """Distinct rows with counts 1 to 5 score as the node with each row
     repeated: the oracle on np.repeat(rows, counts). Each X has a constant
     column and one mixing -0.0 and +0.0 (equal values: no boundary between
@@ -239,45 +273,45 @@ def test_best_split_counts_match_repeated_rows(kernels, ties):
         for k in range(1, d + 1):
             feats = rng.choice(d, size=k, replace=False)
             min_leaf = int(rng.integers(1, max(2, node.size // 3)))
-            assert kernels.best_split(X, y, rows, counts, feats, min_leaf) == \
+            assert front.best_split(X, y, rows, counts, feats, min_leaf) == \
                 best_split_oracle(X, y, node, feats, min_leaf)
 
 
 @pytest.mark.parametrize("count,found", [(20, True), (19, False)])
-def test_best_split_min_leaf_counts_multiplicity(kernels, count, found):
+def test_best_split_min_leaf_counts_multiplicity(front, count, found):
     """Three distinct rows of count 20 split at min_leaf 20, as the 60 rows
     they stand for do; at count 19 no side can hold 20."""
     X = np.array([[0.0], [1.0], [2.0]], dtype=np.float32)
     y = np.array([0, 1, 1], dtype=np.uint8)
     rows, counts = np.arange(3), np.full(3, count)
-    got = kernels.best_split(X, y, rows, counts, [0], 20)
+    got = front.best_split(X, y, rows, counts, [0], 20)
     assert got == best_split_oracle(X, y, np.repeat(rows, counts), [0], 20)
     assert got == ((0, 0.5, True) if found else (-1, 0.0, False))
 
 
-def test_best_split_tie_rule(kernels):
+def test_best_split_tie_rule(front):
     """Columns 0 and 1 are equal, and their thresholds 0.5 and 2.5 score
     the same: the lower feature, then the lower threshold, wins."""
     X = np.repeat(np.arange(4, dtype=np.float32)[:, None], 2, axis=1)
     y = np.array([0, 1, 1, 0], dtype=np.uint8)
     idx = np.arange(4)
     assert best_split_oracle(X, y, idx, [1, 0], 1) == (0, 0.5, True)
-    assert kernels.best_split(X, y, idx, np.ones(4), [1, 0], 1) == (0, 0.5, True)
+    assert front.best_split(X, y, idx, np.ones(4), [1, 0], 1) == (0, 0.5, True)
 
 
 @pytest.mark.parametrize("m", [39, 40])
-def test_best_split_min_leaf_edges(kernels, m):
+def test_best_split_min_leaf_edges(front, m):
     """min_leaf 0 acts as 1; at m // 2 only the middle boundaries remain;
     a node with m < 2 * min_leaf has no split."""
     X, y, rows, counts, feats = split_input()
     idx, counts = rows[:m], counts[:m]
-    one = kernels.best_split(X, y, idx, counts, feats, 1)
+    one = front.best_split(X, y, idx, counts, feats, 1)
     assert one[2] and one == best_split_oracle(X, y, idx, feats, 1)
-    assert kernels.best_split(X, y, idx, counts, feats, 0) == one
+    assert front.best_split(X, y, idx, counts, feats, 0) == one
     half = m // 2
-    got = kernels.best_split(X, y, idx, counts, feats, half)
+    got = front.best_split(X, y, idx, counts, feats, half)
     assert got[2] and got == best_split_oracle(X, y, idx, feats, half)
-    assert kernels.best_split(X, y, idx, counts, feats, half + 1) == (-1, 0.0, False)
+    assert front.best_split(X, y, idx, counts, feats, half + 1) == (-1, 0.0, False)
 
 
 def random_tree(rng, d, depth, cuts):
@@ -350,11 +384,11 @@ def tree_input():
 
 
 @pytest.mark.parametrize("size,value", [(4, 1.0), (0, 1.0), (3, np.nan)])
-def test_erode_rejects_bad_size_or_nan(kernels, size, value):
+def test_erode_rejects_bad_size_or_nan(front, size, value):
     img = np.ones((6, 7), dtype=np.float32)
     img[2, 3] = value
     with pytest.raises(ValueError):
-        kernels.grey_erode_square(img, size)
+        front.grey_erode_square(img, size)
 
 
 @pytest.mark.parametrize("where", ["marker", "mask"])
@@ -367,71 +401,71 @@ def test_reconstruction_rejects_nan(kernels, where):
 
 
 @pytest.mark.parametrize("level", [8, 100, -2])
-def test_glcm_rejects_level_out_of_range(kernels, level):
+def test_glcm_rejects_level_out_of_range(front, level):
     q = glcm_input(levels=8)
     q[4, 5] = level
     with pytest.raises(ValueError, match="level"):
-        kernels.glcm_feature_image(q, 3, 8, OFFSETS)
+        front.glcm_feature_image(q, 3, 8, OFFSETS)
 
 
 @pytest.mark.parametrize("window", [0, 4, -3])
-def test_glcm_rejects_bad_window(kernels, window):
+def test_glcm_rejects_bad_window(front, window):
     with pytest.raises(ValueError, match="window"):
-        kernels.glcm_feature_image(glcm_input(), window, 8, OFFSETS)
+        front.glcm_feature_image(glcm_input(), window, 8, OFFSETS)
 
 
 @pytest.mark.parametrize("levels", [0, _kernels.MAX_LEVELS + 1])
-def test_glcm_rejects_levels_that_overflow(kernels, levels):
+def test_glcm_rejects_levels_that_overflow(front, levels):
     with pytest.raises(ValueError, match="levels must lie"):
-        kernels.glcm_feature_image(np.zeros((5, 5), dtype=np.int32), 3, levels, OFFSETS)
+        front.glcm_feature_image(np.zeros((5, 5), dtype=np.int32), 3, levels, OFFSETS)
 
 
 @pytest.mark.parametrize("row", [-1, 40])
-def test_best_split_rejects_idx_out_of_range(kernels, row):
+def test_best_split_rejects_idx_out_of_range(front, row):
     X, y, rows, counts, feats = split_input()
     rows[7] = row
     with pytest.raises(ValueError, match="rows"):
-        kernels.best_split(X, y, rows, counts, feats, 2)
+        front.best_split(X, y, rows, counts, feats, 2)
 
 
 @pytest.mark.parametrize("where,value", [
     (7, 0), (7, -2), (7, _kernels.MAX_COUNT + 1),
     (slice(None), _kernels.MAX_COUNT // 39),     # each fits, the sum does not
 ])
-def test_best_split_rejects_bad_counts(kernels, where, value):
+def test_best_split_rejects_bad_counts(front, where, value):
     X, y, rows, counts, feats = split_input()
     counts[where] = value
     with pytest.raises(ValueError, match="counts must be >= 1"):
-        kernels.best_split(X, y, rows, counts, feats, 2)
+        front.best_split(X, y, rows, counts, feats, 2)
 
 
 @pytest.mark.parametrize("shape", [(39,), (41,), (40, 1)])
-def test_best_split_rejects_counts_unlike_rows(kernels, shape):
+def test_best_split_rejects_counts_unlike_rows(front, shape):
     X, y, rows, _, feats = split_input()
     with pytest.raises(ValueError, match="counts must be shaped like rows"):
-        kernels.best_split(X, y, rows, np.ones(shape, dtype=np.int64), feats, 2)
+        front.best_split(X, y, rows, np.ones(shape, dtype=np.int64), feats, 2)
 
 
 @pytest.mark.parametrize("feat", [-1, 3])
-def test_best_split_rejects_feature_out_of_range(kernels, feat):
+def test_best_split_rejects_feature_out_of_range(front, feat):
     X, y, rows, counts, feats = split_input()
     feats[1] = feat
     with pytest.raises(ValueError, match="feats"):
-        kernels.best_split(X, y, rows, counts, feats, 2)
+        front.best_split(X, y, rows, counts, feats, 2)
 
 
-def test_best_split_rejects_label_out_of_range(kernels):
+def test_best_split_rejects_label_out_of_range(front):
     X, y, rows, counts, feats = split_input()
     y[5] = 4
     with pytest.raises(ValueError, match="label"):
-        kernels.best_split(X, y, rows, counts, feats, 2, n_classes=4)
+        front.best_split(X, y, rows, counts, feats, 2, n_classes=4)
 
 
 @pytest.mark.parametrize("n_classes", [0, 17])
-def test_best_split_rejects_bad_class_count(kernels, n_classes):
+def test_best_split_rejects_bad_class_count(front, n_classes):
     X, y, rows, counts, feats = split_input()
     with pytest.raises(ValueError, match="n_classes"):
-        kernels.best_split(X, y, rows, counts, feats, 2, n_classes=n_classes)
+        front.best_split(X, y, rows, counts, feats, 2, n_classes=n_classes)
 
 
 def test_tree_apply_rejects_feature_out_of_range(kernels):
