@@ -40,6 +40,10 @@ if _requested == "compiled" and compiled is None:
                       f"unavailable: {FALLBACK_REASON}")
 _lane = pure if _requested == "pure" or compiled is None else compiled
 BACKEND = _lane.NAME
+# the lane each kernel runs on
+LANES = {"reconstruct_dilation": BACKEND, "tree_apply": BACKEND,
+         "grey_erode_square": pure.NAME, "glcm_feature_image": pure.NAME,
+         "best_split": pure.NAME}
 
 # best_split's limits come from the sort key of `pure.best_split`: the low
 # uint32 of each key packs a row's count into its `_COUNT_BITS` = 28 low

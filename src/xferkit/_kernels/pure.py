@@ -67,33 +67,73 @@ def grey_erode_square(img: np.ndarray, size: int) -> np.ndarray:
     return img
 
 
-def _sweep(lines, inner, mask, order, buf) -> None:
+def _sweep(left, right, inner, mask, order, buf,
+           maximum=np.maximum, minimum=np.minimum) -> None:
     """One wavefront sweep over the lines (rows or columns) of an image.
 
-    `lines[i]` is line i with its -inf border cells, `inner[i]` the same
-    line without them and `mask[i]` the mask line. Lines are visited in
-    `order`; each takes the max of itself and min(mask line, max of its
-    three neighbours in the line visited just before), so a value travels
-    the whole sweep in one pass.
+    `inner[i]` is line i, and `left[i]` and `right[i]` the same line
+    shifted by one cell through its -inf border; `mask[i]` is the mask
+    line. Lines are visited in `order`; each takes the max of itself and
+    min(mask line, max of its three neighbours in the line visited just
+    before), so a value travels the whole sweep in one pass. The views
+    are made once per image and the ufuncs bound as defaults: per line,
+    the four ufunc calls are then all the work there is.
     """
-    prev = lines[order[0]]
-    for i in order[1:]:
-        np.maximum(prev[:-2], prev[2:], out=buf)
-        np.maximum(buf, prev[1:-1], out=buf)
-        np.minimum(buf, mask[i], out=buf)
-        np.maximum(inner[i], buf, out=inner[i])
-        prev = lines[i]
+    it = iter(order)
+    p = next(it)
+    for i in it:
+        maximum(left[p], right[p], out=buf)
+        maximum(buf, inner[p], out=buf)
+        minimum(buf, mask[i], out=buf)
+        maximum(inner[i], buf, out=inner[i])
+        p = i
+
+
+def _finish(pad: np.ndarray, mask: np.ndarray, raised: np.ndarray, steps: int) -> bool:
+    """Up to `steps` geodesic dilations of `pad` (the image inside a -inf
+    border, updated in place) under `mask`, each evaluated only next to
+    the pixels the one before raised, starting from the pixels `raised`.
+    Returns whether the last one raised nothing: the fixed point.
+
+    A pixel none of whose neighbours rose would take the same
+    min(mask, 3x3 max) as the dilation before, which it already holds or
+    exceeds, so leaving it out changes nothing.
+    """
+    w = pad.shape[1]
+    flat = pad.ravel()
+    m = np.full_like(pad, -np.inf)
+    m[1:-1, 1:-1] = mask
+    m = m.ravel()
+    inner = np.zeros(pad.shape, dtype=bool)
+    inner[1:-1, 1:-1] = True
+    inner = inner.ravel()
+    offsets = (np.arange(-1, 2)[:, None] * w + np.arange(-1, 2)).ravel()
+    ys, xs = np.nonzero(raised)
+    front = (ys + 1) * w + xs + 1
+    for _ in range(steps):
+        if front.size == 0:
+            return True
+        near = np.unique((front[:, None] + offsets).ravel())
+        near = near[inner[near]]
+        new = np.minimum(flat[near[:, None] + offsets].max(axis=1), m[near])
+        up = new > flat[near]
+        front = near[up]
+        flat[front] = new[up]
+    return front.size == 0
 
 
 def reconstruct_dilation(marker: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Morphological reconstruction by dilation, 8-connectivity.
 
-    Vectorised wavefront sweeps, repeated until stable: rows top to bottom
-    (each row takes its N, NW and NE neighbours, clipped by the mask), rows
-    bottom to top, then columns left to right and right to left. After
-    each round, one whole-image geodesic dilation, min(mask, 3x3 max), is
-    the stop test: the loop ends when it raises no pixel, which is the
-    definition of the fixed point.
+    Rounds of vectorised wavefront sweeps: rows top to bottom (each row
+    takes its N, NW and NE neighbours, clipped by the mask), rows bottom to
+    top, then columns left to right and right to left. After each round,
+    one whole-image geodesic dilation, min(mask, 3x3 max), is the stop
+    test: the loop ends when it raises no pixel, which is the definition
+    of the fixed point. The first time it raises only a few pixels, the
+    dilations go on next to the raised pixels only (`_finish`); such
+    stragglers mostly settle in a few steps, for a fraction of the round
+    that would otherwise check them. If they do not, rounds go on.
 
     Exact: every update is an elementary geodesic dilation, so no pixel
     ever exceeds the reconstruction, and a fixed point above the marker
@@ -106,26 +146,36 @@ def reconstruct_dilation(marker: np.ndarray, mask: np.ndarray) -> np.ndarray:
     pad = np.full((h + 2, w + 2), -np.inf, dtype=np.float32)
     j = pad[1:-1, 1:-1]
     j[...] = marker
-    # per-line views, made once: indexing a 2-D array per line costs more
-    rows, cols = list(pad[1:-1]), list(pad[:, 1:-1].T)
-    j_rows, j_cols = list(j), list(j.T)
-    m_rows, m_cols = list(mask), list(mask.T)
+    # per-line views, made once: slicing a line per step costs more
+    rows, cols = pad[1:-1], pad[:, 1:-1].T
+    row_views = list(rows[:, :-2]), list(rows[:, 2:]), list(j), list(mask)
+    col_views = list(cols[:, :-2]), list(cols[:, 2:]), list(j.T), list(mask.T)
     row_buf = np.empty(w, dtype=np.float32)
     col_buf = np.empty(h, dtype=np.float32)
+    row_max = np.empty((h + 2, w), dtype=np.float32)
     dil = np.empty((h, w), dtype=np.float32)
+    few = (h + w) // 8 + 1      # most raised pixels `_finish` takes, and its steps
     while True:
-        _sweep(rows, j_rows, m_rows, range(h), row_buf)
-        _sweep(rows, j_rows, m_rows, range(h - 1, -1, -1), row_buf)
-        _sweep(cols, j_cols, m_cols, range(w), col_buf)
-        _sweep(cols, j_cols, m_cols, range(w - 1, -1, -1), col_buf)
-        # stop test: one geodesic dilation of the whole image
-        np.maximum(pad[:-2, :-2], pad[2:, 2:], out=dil)
-        for dy, dx in ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)):
-            np.maximum(dil, pad[dy:dy + h, dx:dx + w], out=dil)
+        _sweep(*row_views, range(h), row_buf)
+        _sweep(*row_views, range(h - 1, -1, -1), row_buf)
+        _sweep(*col_views, range(w), col_buf)
+        _sweep(*col_views, range(w - 1, -1, -1), col_buf)
+        # stop test: one geodesic dilation of the whole image, its 3x3
+        # max taken along rows, then along columns
+        np.maximum(pad[:, :-2], pad[:, 2:], out=row_max)
+        np.maximum(row_max, pad[:, 1:-1], out=row_max)
+        np.maximum(row_max[:-2], row_max[2:], out=dil)
+        np.maximum(dil, row_max[1:-1], out=dil)
         np.minimum(dil, mask, out=dil)
-        if np.array_equal(dil, j):
+        raised = dil != j
+        n_raised = np.count_nonzero(raised)
+        if n_raised == 0:
             return j.copy()
         j[...] = dil
+        if n_raised <= few:
+            if _finish(pad, mask, raised, few):
+                return j.copy()
+            few = 0             # they did not settle: rounds only from here
 
 
 # ---------------------------------------------------------------------------

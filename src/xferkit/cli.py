@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__, _kernels, _parallel
 from . import forest as rf
 from . import synth as synthmod
 from . import transfer, xras
@@ -259,6 +260,16 @@ def cmd_synth_generate(args) -> int:
     return 0
 
 
+def cmd_info(args) -> int:
+    print(f"xferkit {__version__}")
+    for kernel, lane in _kernels.LANES.items():
+        print(f"kernel {kernel}: {lane}")
+    print(f"fallback reason: {_kernels.FALLBACK_REASON or 'none'}")
+    print(f"threads: {_parallel.worker_count()}")
+    print(f"numpy {np.__version__}")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -277,144 +288,143 @@ def _add_height_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--otsu-bins", type=int, default=256)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its command parsers by path ("assess", "rf train").
+
+    Every command is registered with its name and help, which is all
+    `xferkit -h` and an unknown command need. Arguments, `-h` included,
+    are added only to the commands and groups that `command`, a command
+    path as `_command_path` reads it from argv, starts with; to every
+    command when it is None.
+    """
     parser = argparse.ArgumentParser(
         prog="xferkit",
         description="Index-based transferability assessment for segmentation models")
-    sub = parser.add_subparsers(dest="command", required=True)
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("normalize", help="dataset-level histogram truncation to [0,1]")
-    p.add_argument("--input", nargs="+", required=True)
-    p.add_argument("--bands", default="r,g,b,nir")
-    p.add_argument("--lower", type=float, default=2.0)
-    p.add_argument("--upper", type=float, default=2.0)
-    p.add_argument("--out-dir", required=True)
-    _add_config(p)
-    p.set_defaults(func=cmd_normalize)
-    registry["normalize"] = p
+    def wanted(path: str) -> bool:
+        return command is None or f"{command} ".startswith(f"{path} ")
 
-    p = sub.add_parser("remap", help="remap raw label codes into the 4-class schema")
-    p.add_argument("--labels", required=True, help="raw single-band label raster")
-    p.add_argument("--lookup", required=True,
-                   help='JSON lookup: {"map": {"<src>": <dst>, ...}}')
-    p.add_argument("--out", required=True)
-    _add_config(p)
-    p.set_defaults(func=cmd_remap)
-    registry["remap"] = p
+    def group(name: str, help_text: str) -> None:
+        g = subs[""].add_parser(name, help=help_text, add_help=wanted(name))
+        subs[name] = g.add_subparsers(dest=f"{name}_command", required=True)
 
-    p = sub.add_parser("pseudolabel", help="index-derived pseudo ground truth")
-    p.add_argument("--raster", required=True)
-    _add_height_opts(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    _add_config(p)
-    p.set_defaults(func=cmd_pseudolabel)
-    registry["pseudolabel"] = p
+    def add(path: str, func, **kw) -> argparse.ArgumentParser | None:
+        """Register `path`; its parser if its arguments are wanted, else None."""
+        where, _, name = path.rpartition(" ")
+        p = registry[path] = subs[where].add_parser(name, add_help=wanted(path), **kw)
+        if not wanted(path):
+            return None
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("assess", help="score a prediction against pseudo labels")
-    p.add_argument("--raster", required=True)
-    _add_height_opts(p)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--probs")
-    p.add_argument("--gt")
-    p.add_argument("--model-id", required=True)
-    p.add_argument("--domain-id", required=True)
-    p.add_argument("--timestamp", help="fixed ISO timestamp for reproducible reports")
-    p.add_argument("--out", required=True)
-    _add_config(p)
-    p.set_defaults(func=cmd_assess)
-    registry["assess"] = p
+    if p := add("normalize", cmd_normalize,
+                help="dataset-level histogram truncation to [0,1]"):
+        p.add_argument("--input", nargs="+", required=True)
+        p.add_argument("--bands", default="r,g,b,nir")
+        p.add_argument("--lower", type=float, default=2.0)
+        p.add_argument("--upper", type=float, default=2.0)
+        p.add_argument("--out-dir", required=True)
+        _add_config(p)
 
-    p = sub.add_parser("evaluate", help="ground-truth mIoU of a prediction")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--out", required=True)
-    _add_config(p)
-    p.set_defaults(func=cmd_evaluate)
-    registry["evaluate"] = p
+    if p := add("remap", cmd_remap, help="remap raw label codes into the 4-class schema"):
+        p.add_argument("--labels", required=True, help="raw single-band label raster")
+        p.add_argument("--lookup", required=True,
+                       help='JSON lookup: {"map": {"<src>": <dst>, ...}}')
+        p.add_argument("--out", required=True)
+        _add_config(p)
 
-    p = sub.add_parser("rank", help="rank models on one domain")
-    p.add_argument("--reports", nargs="+", required=True)
-    p.add_argument("--by", choices=("index_miou", "confidence"),
-                   default="index_miou")
-    p.add_argument("--out", required=True)
-    _add_config(p)
-    p.set_defaults(func=cmd_rank)
-    registry["rank"] = p
+    if p := add("pseudolabel", cmd_pseudolabel, help="index-derived pseudo ground truth"):
+        p.add_argument("--raster", required=True)
+        _add_height_opts(p)
+        p.add_argument("--out", required=True)
+        p.add_argument("--report")
+        _add_config(p)
 
-    p = sub.add_parser("correlate", help="predictor vs ground-truth correlation")
-    p.add_argument("--reports", nargs="+", required=True)
-    p.add_argument("--out", required=True)
-    _add_config(p)
-    p.set_defaults(func=cmd_correlate)
-    registry["correlate"] = p
+    if p := add("assess", cmd_assess, help="score a prediction against pseudo labels"):
+        p.add_argument("--raster", required=True)
+        _add_height_opts(p)
+        p.add_argument("--pred", required=True)
+        p.add_argument("--probs")
+        p.add_argument("--gt")
+        p.add_argument("--model-id", required=True)
+        p.add_argument("--domain-id", required=True)
+        p.add_argument("--timestamp", help="fixed ISO timestamp for reproducible reports")
+        p.add_argument("--out", required=True)
+        _add_config(p)
 
-    p = sub.add_parser("tile", help="cut a raster into overlapping patches")
-    p.add_argument("--input", required=True)
-    p.add_argument("--patch", type=int, default=512)
-    p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--out-dir", required=True)
-    _add_config(p)
-    p.set_defaults(func=cmd_tile)
-    registry["tile"] = p
+    if p := add("evaluate", cmd_evaluate, help="ground-truth mIoU of a prediction"):
+        p.add_argument("--pred", required=True)
+        p.add_argument("--gt", required=True)
+        p.add_argument("--out", required=True)
+        _add_config(p)
 
-    p = sub.add_parser("merge", help="probability-voting merge of patches")
-    p.add_argument("--patches", required=True, help="directory with tiles.json")
-    p.add_argument("--out", required=True)
-    p.add_argument("--labels-out")
-    _add_config(p)
-    p.set_defaults(func=cmd_merge)
-    registry["merge"] = p
+    if p := add("rank", cmd_rank, help="rank models on one domain"):
+        p.add_argument("--reports", nargs="+", required=True)
+        p.add_argument("--by", choices=("index_miou", "confidence"),
+                       default="index_miou")
+        p.add_argument("--out", required=True)
+        _add_config(p)
 
-    p = sub.add_parser("rf", help="random-forest baseline")
-    rf_sub = p.add_subparsers(dest="rf_command", required=True)
+    if p := add("correlate", cmd_correlate, help="predictor vs ground-truth correlation"):
+        p.add_argument("--reports", nargs="+", required=True)
+        p.add_argument("--out", required=True)
+        _add_config(p)
 
-    p_train = rf_sub.add_parser("train")
-    p_train.add_argument("--raster", action="append", required=True)
-    p_train.add_argument("--labels", action="append", required=True)
-    p_train.add_argument("--height", action="append")
-    p_train.add_argument("--trees", type=int, default=500)
-    p_train.add_argument("--max-depth", type=int, default=20)
-    p_train.add_argument("--min-leaf", type=int, default=1000)
-    p_train.add_argument("--min-split", type=int, default=4000)
-    p_train.add_argument("--samples", type=int, default=4_000_000)
-    p_train.add_argument("--features-per-split", type=int)
-    p_train.add_argument("--stratified", action="store_true")
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--window", type=int, default=13)
-    p_train.add_argument("--levels", type=int, default=32)
-    p_train.add_argument("--out", required=True)
-    p_train.add_argument("--json-out", help="also write a JSON debug dump")
-    _add_config(p_train)
-    p_train.set_defaults(func=cmd_rf_train)
-    registry["rf train"] = p_train
+    if p := add("tile", cmd_tile, help="cut a raster into overlapping patches"):
+        p.add_argument("--input", required=True)
+        p.add_argument("--patch", type=int, default=512)
+        p.add_argument("--overlap", type=float, default=0.5)
+        p.add_argument("--out-dir", required=True)
+        _add_config(p)
 
-    p_pred = rf_sub.add_parser("predict")
-    p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--raster", required=True)
-    p_pred.add_argument("--height")
-    p_pred.add_argument("--window", type=int, default=13)
-    p_pred.add_argument("--levels", type=int, default=32)
-    p_pred.add_argument("--patch", type=int, default=0,
-                        help="tile size for tiled inference (0 = whole image)")
-    p_pred.add_argument("--overlap", type=float, default=0.5)
-    p_pred.add_argument("--out", required=True)
-    p_pred.add_argument("--labels-out")
-    _add_config(p_pred)
-    p_pred.set_defaults(func=cmd_rf_predict)
-    registry["rf predict"] = p_pred
+    if p := add("merge", cmd_merge, help="probability-voting merge of patches"):
+        p.add_argument("--patches", required=True, help="directory with tiles.json")
+        p.add_argument("--out", required=True)
+        p.add_argument("--labels-out")
+        _add_config(p)
 
-    p = sub.add_parser("synth", help="synthetic domain generator")
-    synth_sub = p.add_subparsers(dest="synth_command", required=True)
-    p_gen = synth_sub.add_parser("generate")
-    p_gen.add_argument("--spec", help="DomainSpec JSON (defaults when omitted)")
-    p_gen.add_argument("--scenes", type=int, default=3)
-    p_gen.add_argument("--out-dir", required=True)
-    _add_config(p_gen)
-    p_gen.set_defaults(func=cmd_synth_generate)
-    registry["synth generate"] = p_gen
+    group("rf", "random-forest baseline")
+    if p := add("rf train", cmd_rf_train):
+        p.add_argument("--raster", action="append", required=True)
+        p.add_argument("--labels", action="append", required=True)
+        p.add_argument("--height", action="append")
+        p.add_argument("--trees", type=int, default=500)
+        p.add_argument("--max-depth", type=int, default=20)
+        p.add_argument("--min-leaf", type=int, default=1000)
+        p.add_argument("--min-split", type=int, default=4000)
+        p.add_argument("--samples", type=int, default=4_000_000)
+        p.add_argument("--features-per-split", type=int)
+        p.add_argument("--stratified", action="store_true")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--window", type=int, default=13)
+        p.add_argument("--levels", type=int, default=32)
+        p.add_argument("--out", required=True)
+        p.add_argument("--json-out", help="also write a JSON debug dump")
+        _add_config(p)
 
+    if p := add("rf predict", cmd_rf_predict):
+        p.add_argument("--model", required=True)
+        p.add_argument("--raster", required=True)
+        p.add_argument("--height")
+        p.add_argument("--window", type=int, default=13)
+        p.add_argument("--levels", type=int, default=32)
+        p.add_argument("--patch", type=int, default=0,
+                       help="tile size for tiled inference (0 = whole image)")
+        p.add_argument("--overlap", type=float, default=0.5)
+        p.add_argument("--out", required=True)
+        p.add_argument("--labels-out")
+        _add_config(p)
+
+    group("synth", "synthetic domain generator")
+    if p := add("synth generate", cmd_synth_generate):
+        p.add_argument("--spec", help="DomainSpec JSON (defaults when omitted)")
+        p.add_argument("--scenes", type=int, default=3)
+        p.add_argument("--out-dir", required=True)
+        _add_config(p)
+
+    add("info", cmd_info, help="print the version, kernel lanes and worker count")
     return parser, registry
 
 
@@ -461,7 +471,8 @@ def _apply_config(registry: dict, argv: list[str]) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    # argv that opens with an option (say --config) names no command
+    parser, registry = build_parser(_command_path(argv) or None)
     try:
         _apply_config(registry, argv)
         args = parser.parse_args(argv)

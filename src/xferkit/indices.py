@@ -65,9 +65,10 @@ class MorphParams:
             raise ValueError("se_size must be odd and >= 3")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdSet:
-    """Decision thresholds for the index fusion."""
+    """Decision thresholds for the index fusion; frozen, since the reports
+    `transfer.assess_scenes` makes for one scene share one set."""
 
     t_ndvi: float
     t_ndwi: float
@@ -160,12 +161,13 @@ def otsu_threshold(values, bins: int = 256) -> OtsuResult:
     vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size == 0:
         raise ValueError("no valid samples")
-    if np.any(~np.isfinite(vals)) or vals.min() < 0.0 or vals.max() > 1.0:
+    if not (vals.min() >= 0.0 and vals.max() <= 1.0):     # false for NaN too
         raise ValueError("samples must lie in [0, 1]; clip negatives first")
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    binned = np.minimum((vals * bins).astype(np.int64), bins - 1)
-    hist = np.bincount(binned, minlength=bins)
+    hist = np.bincount((vals * bins).astype(np.int64), minlength=bins + 1)
+    hist[bins - 1] += hist[bins]      # a sample of 1.0 belongs to the top bin
+    hist = hist[:bins]
     occupied = np.nonzero(hist)[0]
     if occupied.size == 1:
         return OtsuResult(float((occupied[0] + 1) / bins), degenerate=True)

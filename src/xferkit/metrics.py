@@ -82,9 +82,9 @@ def confusion(pred: LabelMap, ref: LabelMap) -> ConfusionMatrix:
     if pred.codes.shape != ref.codes.shape:
         raise ValueError("prediction and reference dimensions differ")
     keep = (pred.codes < N_CLASSES) & (ref.codes < N_CLASSES)
-    p = pred.codes[keep].astype(np.int64)
-    r = ref.codes[keep].astype(np.int64)
-    counts = np.bincount(r * N_CLASSES + p, minlength=N_CLASSES * N_CLASSES)
+    # uint8 pair codes: exact where both are classes, the rest is dropped
+    pairs = ref.codes * np.uint8(N_CLASSES) + pred.codes
+    counts = np.bincount(pairs[keep], minlength=N_CLASSES * N_CLASSES)
     counts = counts.reshape(N_CLASSES, N_CLASSES)
     return ConfusionMatrix(counts, int(keep.sum()))
 

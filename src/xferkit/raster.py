@@ -161,7 +161,8 @@ class LabelMap:
         self.codes = np.asarray(self.codes, dtype=np.uint8)
         if self.codes.ndim != 2:
             raise ValueError("label codes must be a 2D array")
-        bad = ~np.isin(self.codes, VALID_LABEL_CODES)
+        # the schema is the classes 0..N_CLASSES-1 and void
+        bad = (self.codes >= N_CLASSES) & (self.codes != LABEL_VOID)
         if bad.any():
             offending = sorted(int(v) for v in np.unique(self.codes[bad]))
             raise ValueError(f"label codes outside schema: {offending}")

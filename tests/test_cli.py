@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from xferkit import synth, transfer, xras
-from xferkit.cli import main
+import xferkit
+from xferkit import _kernels, _parallel, synth, transfer, xras
+from xferkit.cli import build_parser, main
 from xferkit.raster import BandRole, MultibandRaster, ProbabilityMap
+
+COMMANDS = sorted(build_parser()[1])
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +245,75 @@ def test_config_file_defaults_and_override(domain_dir, tmp_path):
                  "--height-kind", "agl", "--mbih-threshold", "3.0",
                  "--out", str(out), "--report", str(report)]) == 0
     assert json.loads(report.read_text())["thresholds"]["t_mbih"] == 3.0
+
+
+def test_config_default_does_not_leak(domain_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pseudolabel": {"mbih_threshold": 4.5}}))
+    report = tmp_path / "p.json"
+    args = ["pseudolabel", "--raster", str(domain_dir / "scene_000_rgbn.xras"),
+            "--height", str(domain_dir / "scene_000_agl.xras"), "--height-kind", "agl",
+            "--out", str(tmp_path / "p.xras"), "--report", str(report)]
+    assert main([*args, "--config", str(config)]) == 0
+    assert json.loads(report.read_text())["thresholds"]["t_mbih"] == 4.5
+    assert main(args) == 0
+    assert json.loads(report.read_text())["thresholds"]["t_mbih"] == 2.0
+
+
+def _exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_top_level_help_lists_every_command(capsys):
+    assert _exit_code(["-h"]) == 0
+    out = capsys.readouterr().out
+    for path in COMMANDS:
+        assert path.split()[0] in out
+    assert _exit_code(["rf", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert "train" in out and "predict" in out
+
+
+@pytest.mark.parametrize("path", COMMANDS)
+def test_help_exits_zero_for_every_command(path, capsys):
+    assert _exit_code([*path.split(), "-h"]) == 0
+    assert f"usage: xferkit {path}" in capsys.readouterr().out
+
+
+def test_unknown_command_exits_2(capsys):
+    assert _exit_code(["bogus", "--out", "x"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_command_with_stray_word_reports_its_own_options(capsys):
+    # "assess foo" names the assess command; its options are still parsed
+    assert _exit_code(["assess", "foo"]) == 2
+    assert "xferkit assess: error: the following arguments are required: --raster" \
+        in capsys.readouterr().err
+
+
+def test_info_command(domain_dir, tmp_path, capsys):
+    assert main(["info"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    lane = _kernels.BACKEND
+    assert lines == [
+        f"xferkit {xferkit.__version__}",
+        f"kernel reconstruct_dilation: {lane}",
+        f"kernel tree_apply: {lane}",
+        "kernel grey_erode_square: pure",
+        "kernel glcm_feature_image: pure",
+        "kernel best_split: pure",
+        f"fallback reason: {_kernels.FALLBACK_REASON or 'none'}",
+        f"threads: {_parallel.worker_count()}",
+        f"numpy {np.__version__}",
+    ]
+    # no other command prints it
+    labels = str(domain_dir / "scene_000_labels.xras")
+    assert main(["evaluate", "--pred", labels, "--gt", labels,
+                 "--out", str(tmp_path / "e.json")]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_errors_exit_nonzero(tmp_path, capsys):

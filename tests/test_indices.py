@@ -1,5 +1,6 @@
 """Spectral/morphological indices, Otsu, and pseudo-label fusion."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -149,6 +150,15 @@ class TestOtsu:
             otsu_threshold(np.array([]))
         with pytest.raises(ValueError, match="clip"):
             otsu_threshold(np.array([-0.1, 0.5]))
+        for bad in (np.nan, np.inf, -np.inf, 1.5):
+            with pytest.raises(ValueError, match="clip"):
+                otsu_threshold(np.array([0.2, bad, 0.5]))
+
+    def test_one_lands_in_top_bin(self):
+        # 1.0 * bins is one past the last bin; it counts in the top bin
+        got = otsu_threshold(np.array([0.0, 0.0, 1.0, 1.0]), bins=4)
+        assert got.threshold == 0.25 and not got.degenerate
+        assert otsu_threshold(np.ones(5), bins=4) == (1.0, True)
 
     def test_matches_float_oracle_randomly(self, rng):
         for _ in range(25):
@@ -252,3 +262,8 @@ class TestFusion:
             ThresholdSet(t_ndvi=1.2, t_ndwi=0.4)
         with pytest.raises(ValueError):
             ThresholdSet(t_ndvi=0.3, t_ndwi=0.4, t_mbih=0.0)
+
+    def test_thresholds_are_frozen(self):
+        thresholds = ThresholdSet(t_ndvi=0.3, t_ndwi=0.4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            thresholds.t_ndvi = 0.5

@@ -122,6 +122,21 @@ def test_reconstruction_matches_oracle_serpentine(kernels, shape, rng):
     assert got[last, shape[1] - 1 if (last // 2) % 2 == 0 else 0] > 0
 
 
+def test_reconstruction_stragglers_both_ways(rng, monkeypatch):
+    """Pure lane: the few pixels a round leaves settle next to the raised
+    pixels (random mask), or outlast those steps and go back to rounds
+    (a corridor); either way the result is the oracle's."""
+    settled = []
+    finish = pure._finish
+    monkeypatch.setattr(pure, "_finish", lambda *a: settled.append(finish(*a)) or settled[-1])
+    mask = rng.uniform(0, 30, (64, 64)).astype(np.float32)
+    marker = np.minimum(mask, rng.uniform(0, 30, mask.shape).astype(np.float32))
+    for marker, mask in ((marker, mask), serpentine(31, 33, rng)):
+        np.testing.assert_array_equal(pure.reconstruct_dilation(marker, mask),
+                                      naive_reconstruction(marker, mask))
+    assert settled == [True, False]
+
+
 # ---------------------------------------------------------------------------
 # GLCM
 # ---------------------------------------------------------------------------

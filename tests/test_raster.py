@@ -289,6 +289,12 @@ class TestTypes:
         with pytest.raises(ValueError, match="outside schema"):
             LabelMap(np.array([[0, 7]], dtype=np.uint8))
 
+    def test_label_schema_is_four_classes_and_void(self):
+        LabelMap(np.array([[0, 1, 2, 3, 255]], dtype=np.uint8))
+        for code in (4, 128, 254):
+            with pytest.raises(ValueError, match=rf"outside schema: \[{code}\]"):
+                LabelMap(np.array([[3, code, 255]], dtype=np.uint8))
+
     def test_probability_sum_enforced(self):
         probs = np.full((4, 1, 1), 0.3, dtype=np.float32)
         with pytest.raises(ValueError, match="sum to 1"):
