@@ -171,6 +171,8 @@ def cmd_merge(args) -> int:
     patches = []
     for entry in manifest["windows"]:
         window = Window(entry["x"], entry["y"], entry["width"], entry["height"])
+        if any(type(v) is not int for v in window):     # rejects bools and floats too
+            raise ValueError(f"manifest window fields must be integers: {entry}")
         raster = xras.read_xras(Path(args.patches) / entry["file"])
         if raster.bands != 4:
             raise ValueError("merge expects 4-band probability patches")
@@ -225,15 +227,10 @@ def cmd_rf_predict(args) -> int:
     stack = _scene_feature_stack(args.raster, args.height, params)
     if stack.shape[0] != model.d:
         raise ValueError(f"feature stack has {stack.shape[0]} planes, model wants {model.d}")
-    if args.patch > 0:
-        pmap, labels = transfer.predict_tiled(model, stack, args.patch,
-                                              args.overlap)
-    else:
-        pmap = rf.rf_predict(model, stack)
-        labels = pmap.argmax_labels()
+    pmap = rf.rf_predict(model, stack)
     xras.write_xras(pmap, args.out)
     if args.labels_out:
-        xras.write_xras(labels, args.labels_out)
+        xras.write_xras(pmap.argmax_labels(), args.labels_out)
     return 0
 
 
@@ -410,9 +407,6 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, d
         p.add_argument("--height")
         p.add_argument("--window", type=int, default=13)
         p.add_argument("--levels", type=int, default=32)
-        p.add_argument("--patch", type=int, default=0,
-                       help="tile size for tiled inference (0 = whole image)")
-        p.add_argument("--overlap", type=float, default=0.5)
         p.add_argument("--out", required=True)
         p.add_argument("--labels-out")
         _add_config(p)

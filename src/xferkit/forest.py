@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels as kernels
+from ._parallel import parallel_map
 from .raster import (N_CLASSES, BandRole, LabelMap, MultibandRaster,
                      ProbabilityMap)
 
@@ -343,16 +344,27 @@ def rf_train(data: PixelDataset, hp: RfHyperparams) -> Forest:
     return Forest(trees, d=data.d)
 
 
+PREDICT_BLOCK_ROWS = 1 << 16
+
+
 def rf_predict(forest: Forest, features: np.ndarray | MultibandRaster) -> ProbabilityMap:
-    """Pixel-wise class probabilities for a (d, h, w) feature stack."""
+    """Pixel-wise class probabilities for a (d, h, w) feature stack, in blocks
+    of `PREDICT_BLOCK_ROWS` pixels on XFERKIT_THREADS workers, so working
+    memory is bounded whatever the scene size. A pixel depends on its own
+    features only: the bytes are the same for any block size or worker count."""
     stack = features.data if isinstance(features, MultibandRaster) else np.asarray(features)
     if stack.ndim != 3 or stack.shape[0] != forest.d:
         raise ValueError(f"feature stack shaped {stack.shape} does not match d={forest.d}")
     d, h, w = stack.shape
-    X = np.ascontiguousarray(stack.reshape(d, -1).T, dtype=np.float32)
-    probs = forest.predict_matrix(X)
-    cube = np.ascontiguousarray(probs.T.reshape(N_CLASSES, h, w))
-    return ProbabilityMap(cube, np.ones((h, w), dtype=np.int32))
+    flat = stack.reshape(d, h * w)
+    probs = np.empty((N_CLASSES, h * w), dtype=np.float32)
+
+    def block(start: int) -> None:
+        rows = slice(start, start + PREDICT_BLOCK_ROWS)
+        probs[:, rows] = forest.predict_matrix(flat[:, rows].T).T
+
+    parallel_map(block, range(0, h * w, PREDICT_BLOCK_ROWS))
+    return ProbabilityMap(probs.reshape(N_CLASSES, h, w), np.ones((h, w), dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------

@@ -193,13 +193,12 @@ class ProbabilityMap:
             raise ValueError("probability stack must be (4, height, width)")
         if self.weight.shape != self.probs.shape[1:]:
             raise ValueError("weight plane does not match probability stack")
-        covered = self.weight > 0
-        if covered.any():
-            sums = self.probs.sum(axis=0)[covered]
-            if np.any(np.abs(sums - 1.0) > 1e-3):
-                raise ValueError("probabilities must sum to 1 within 1e-3")
-            if self.probs.min() < 0.0 or self.probs.max() > 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
+        # both tests are written so that NaN fails them, covered or not
+        if self.probs.size and not (self.probs.min() >= 0.0 and self.probs.max() <= 1.0):
+            raise ValueError("probabilities must lie in [0, 1]")
+        sums = self.probs.sum(axis=0)[self.weight > 0]
+        if not np.all(np.abs(sums - 1.0) <= 1e-3):
+            raise ValueError("probabilities must sum to 1 within 1e-3")
 
     @property
     def height(self) -> int:
@@ -226,10 +225,32 @@ class Window(NamedTuple):
 
 @dataclass(frozen=True)
 class TilingPlan:
+    """Patch windows over a raster as their origins per axis; `windows` is
+    every (x, y) pair, y-major."""
+
+    width: int
+    height: int
     patch_size: int
     stride: int
-    windows: tuple[Window, ...]
-    undersized: bool = False
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+
+    @property
+    def undersized(self) -> bool:
+        return min(self.width, self.height) < self.patch_size
+
+    @property
+    def windows(self) -> tuple[Window, ...]:
+        tw, th = min(self.patch_size, self.width), min(self.patch_size, self.height)
+        return tuple(Window(x, y, tw, th) for y in self.ys for x in self.xs)
+
+    def coverage(self) -> np.ndarray:
+        """Windows covering each pixel, (height, width) int32: outer product of axis counts."""
+        def per_axis(origins, dim):     # origins at or before a pixel, minus ends
+            pos, ends = np.arange(dim), np.add(origins, min(self.patch_size, dim))
+            return np.searchsorted(origins, pos, "right") - np.searchsorted(ends, pos, "right")
+        return np.outer(per_axis(self.ys, self.height),
+                        per_axis(self.xs, self.width)).astype(np.int32)
 
 
 class ClassLookup:
@@ -398,17 +419,13 @@ def remap_labels(labels: np.ndarray | MultibandRaster, lookup: ClassLookup) -> L
     return LabelMap(table[arr.astype(np.int64)])
 
 
-def _axis_origins(dim: int, patch: int, stride: int) -> tuple[list[int], bool]:
+def _axis_origins(dim: int, patch: int, stride: int) -> tuple[int, ...]:
     if dim <= patch:
-        return [0], dim < patch
-    origins = []
-    pos = 0
-    while pos + patch <= dim:
-        origins.append(pos)
-        pos += stride
+        return (0,)
+    origins = tuple(range(0, dim - patch + 1, stride))
     if origins[-1] + patch < dim:
-        origins.append(dim - patch)
-    return origins, False
+        origins += (dim - patch,)
+    return origins
 
 
 def plan_tiles(width: int, height: int, patch_size: int = 512,
@@ -427,11 +444,9 @@ def plan_tiles(width: int, height: int, patch_size: int = 512,
     if patch_size < 1:
         raise ValueError("patch_size must be at least 1")
     stride = max(1, int(patch_size * (1.0 - overlap)))
-    xs, under_x = _axis_origins(width, patch_size, stride)
-    ys, under_y = _axis_origins(height, patch_size, stride)
-    windows = tuple(Window(x, y, min(patch_size, width), min(patch_size, height))
-                    for y in ys for x in xs)
-    return TilingPlan(patch_size, stride, windows, undersized=under_x or under_y)
+    return TilingPlan(width, height, patch_size, stride,
+                      _axis_origins(width, patch_size, stride),
+                      _axis_origins(height, patch_size, stride))
 
 
 def extract_patch(stack: np.ndarray, window: Window) -> np.ndarray:
@@ -464,7 +479,7 @@ def merge_probability_patches(patches: Iterable[tuple[Window, np.ndarray]],
                 window.x + window.width > width or window.y + window.height > height:
             raise ValueError(f"window {window} exceeds raster bounds")
         sums = probs.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > 1e-3):
+        if not np.all(np.abs(sums - 1.0) <= 1e-3):     # NaN fails too
             raise ValueError("patch probabilities must sum to 1 within 1e-3")
         digest = hashlib.blake2b(probs.tobytes(), digest_size=8).hexdigest()
         items.append(((window.y, window.x, window.height, window.width, digest),
@@ -484,7 +499,6 @@ def merge_probability_patches(patches: Iterable[tuple[Window, np.ndarray]],
         log.warning("merge: %d pixels covered by no patch set to void",
                     int((~covered).sum()))
     divisor = np.where(covered, weight, 1).astype(np.float64)
-    merged = (acc / divisor).astype(np.float32)
-    merged[:, ~covered] = 0.0
+    merged = (acc / divisor).astype(np.float32)     # 0 where uncovered
     pmap = ProbabilityMap(merged, weight)
     return pmap, pmap.argmax_labels()

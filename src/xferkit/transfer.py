@@ -19,8 +19,7 @@ from ._parallel import parallel_map
 from .forest import Forest, rf_predict
 from .metrics import (ConfusionMatrix, CorrelationStats, EvalResult,
                       confusion, miou, pearson, posterior_confidence_sum)
-from .raster import (N_CLASSES, BandRole, LabelMap, MultibandRaster, ProbabilityMap,
-                     Window, extract_patch, plan_tiles)
+from .raster import BandRole, LabelMap, MultibandRaster, ProbabilityMap, plan_tiles
 from .raster import merge_probability_patches  # noqa: F401  (perfbench wraps it at this name)
 from .xras import canonical_json
 
@@ -296,31 +295,12 @@ def correlate_predictors(reports: Sequence[TransferReport]
 
 def predict_tiled(forest: Forest, features: np.ndarray, patch_size: int = 512,
                   overlap: float = 0.5) -> tuple[ProbabilityMap, LabelMap]:
-    """Predict a (d, h, w) feature stack tile by tile (workers capped by
-    XFERKIT_THREADS), as the probability-voting merge of the overlapping
-    windows of `plan_tiles(w, h, patch_size, overlap)` would.
-
-    The forest is per-pixel, so every window covering a pixel gives it the
-    same float32 probabilities, and the merge's float64 mean of k < 2^29
-    equal float32 values is that value exactly. So each pixel is predicted
-    once, on a partition of the scene into tiles of at most `patch_size`,
-    written in place: the result equals full-image prediction bit for bit,
-    for any worker count or tile completion order. `weight` is the plan's
-    coverage count, the number of its windows that cover each pixel.
-    """
-    features = np.asarray(features)
-    d, h, w = features.shape
-    plan = plan_tiles(w, h, patch_size, overlap)
-    weight = np.zeros((h, w), dtype=np.int32)
-    for window in plan.windows:
-        extract_patch(weight, window)[...] += 1
-    probs = np.empty((N_CLASSES, h, w), dtype=np.float32)
-
-    def one(tile: Window) -> None:
-        patch = np.ascontiguousarray(extract_patch(features, tile))
-        extract_patch(probs, tile)[...] = rf_predict(forest, patch).probs
-
-    parallel_map(one, [Window(x, y, min(patch_size, w - x), min(patch_size, h - y))
-                       for y in range(0, h, patch_size) for x in range(0, w, patch_size)])
-    pmap = ProbabilityMap(probs, weight)
+    """The probability-voting merge of the windows of `plan_tiles(w, h,
+    patch_size, overlap)` over a (d, h, w) feature stack, bit for bit: every
+    window covering a pixel gives it the same float32 probabilities, whose
+    float64 mean is that value exactly. So this is `rf_predict` with the
+    plan's coverage count as `weight`."""
+    pmap = rf_predict(forest, features)
+    # the plan covers every pixel, so the validated covered set is unchanged
+    pmap.weight = plan_tiles(pmap.width, pmap.height, patch_size, overlap).coverage()
     return pmap, pmap.argmax_labels()

@@ -1,6 +1,7 @@
 """The compiled lane builds from a clean copy of the sources and passes the
-kernel and lane-parity tests and the pinned forest digests, so Tier-1
-exercises it even where the working tree holds no build."""
+kernel and lane-parity tests, the pinned forest digests and the
+block-wise and tiled prediction tests, so Tier-1 exercises it even where
+the working tree holds no build."""
 
 import os
 import shutil
@@ -32,7 +33,11 @@ def test_compiled_lane_builds_and_passes_kernel_tests(tmp_path):
          str(ROOT / "tests" / "test_kernels.py"),
          str(ROOT / "tests" / "test_kernel_parity.py"),
          # the C tree_apply against the pinned predict_matrix digest
-         str(ROOT / "tests" / "test_forest.py") + "::TestTraining::test_forest_bytes_pinned"],
+         str(ROOT / "tests" / "test_forest.py") + "::TestTraining::test_forest_bytes_pinned",
+         # row blocks on concurrent workers: ctypes releases the GIL
+         str(ROOT / "tests" / "test_forest.py")
+         + "::TestPrediction::test_blocks_equal_predict_matrix_bytes",
+         str(ROOT / "tests" / "test_transfer.py") + "::TestPredictTiled"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
     assert "skipped" not in run.stdout

@@ -7,6 +7,7 @@ import pytest
 
 import xferkit
 from xferkit import _kernels, _parallel, synth, transfer, xras
+from xferkit import forest as rf
 from xferkit.cli import build_parser, main
 from xferkit.raster import BandRole, MultibandRaster, ProbabilityMap
 
@@ -159,20 +160,28 @@ def test_rf_predict_assess_rank_correlate(domain_dir, model_path, tmp_path):
     assert lines[2].startswith("confidence,")
 
 
-def test_rf_predict_tiled_writes_full_image_bytes(domain_dir, model_path, tmp_path):
-    """Overlapping tiles write the probability and label files of one
-    full-image prediction, byte for byte."""
+def test_rf_predict_tiled_writes_full_image_bytes(domain_dir, model_path, tmp_path,
+                                                 monkeypatch):
+    """Many row blocks write the probability and label files of one
+    full-image block, byte for byte."""
     outs = {}
-    for patch in ("0", "48"):
-        probs, labels = tmp_path / f"probs_{patch}.xras", tmp_path / f"labels_{patch}.xras"
+    default = rf.PREDICT_BLOCK_ROWS
+    for block in (default, 1000):      # 96 x 96 px: 1 block, then 10
+        monkeypatch.setattr(rf, "PREDICT_BLOCK_ROWS", block)
+        probs, labels = tmp_path / f"probs_{block}.xras", tmp_path / f"labels_{block}.xras"
         assert main(["rf", "predict", "--model", str(model_path),
                      "--raster", str(domain_dir / "scene_001_rgbn.xras"),
                      "--height", str(domain_dir / "scene_001_agl.xras"),
-                     "--window", "5", "--levels", "8", "--patch", patch,
-                     "--overlap", "0.5", "--out", str(probs),
+                     "--window", "5", "--levels", "8", "--out", str(probs),
                      "--labels-out", str(labels)]) == 0
-        outs[patch] = (probs.read_bytes(), labels.read_bytes())
-    assert outs["48"] == outs["0"]
+        outs[block] = (probs.read_bytes(), labels.read_bytes())
+    assert outs[1000] == outs[default]
+
+
+def test_rf_predict_has_no_tiling_options(capsys):
+    assert _exit_code(["rf", "predict", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert "--patch" not in out and "--overlap" not in out
 
 
 def test_rf_predict_height_mismatch_errors(domain_dir, model_path, tmp_path):
@@ -225,6 +234,21 @@ def test_tile_and_merge_roundtrip(domain_dir, model_path, tmp_path):
     np.testing.assert_array_equal(
         xras.read_label_map(labels_out).codes,
         original.argmax_labels().codes)
+
+
+@pytest.mark.parametrize("value", [0.0, True])
+def test_merge_rejects_non_integer_window_fields(tmp_path, value, capsys):
+    """A float errors out cleanly, and a bool is not read as 1."""
+    probs = tmp_path / "probs.xras"
+    xras.write_xras(ProbabilityMap(np.full((4, 4, 4), 0.25), np.ones((4, 4))), probs)
+    tiles = tmp_path / "tiles"
+    assert main(["tile", "--input", str(probs), "--patch", "2",
+                 "--overlap", "0", "--out-dir", str(tiles)]) == 0
+    manifest = json.loads((tiles / "tiles.json").read_text())
+    manifest["windows"][0]["x"] = value
+    (tiles / "tiles.json").write_text(json.dumps(manifest))
+    assert main(["merge", "--patches", str(tiles), "--out", str(tmp_path / "m.xras")]) == 1
+    assert "error: manifest window fields must be integers" in capsys.readouterr().err
 
 
 def test_config_file_defaults_and_override(domain_dir, tmp_path):
@@ -376,6 +400,7 @@ def test_assess_rejects_misregistered_probs(domain_dir, tmp_path, capsys):
 
 def test_threads_env_does_not_change_output(domain_dir, model_path, tmp_path,
                                             monkeypatch):
+    monkeypatch.setattr(rf, "PREDICT_BLOCK_ROWS", 1000)      # 10 blocks
     outs = {}
     for threads in ("1", "8"):
         monkeypatch.setenv("XFERKIT_THREADS", threads)
@@ -383,7 +408,6 @@ def test_threads_env_does_not_change_output(domain_dir, model_path, tmp_path,
         assert main(["rf", "predict", "--model", str(model_path),
                      "--raster", str(domain_dir / "scene_000_rgbn.xras"),
                      "--height", str(domain_dir / "scene_000_agl.xras"),
-                     "--window", "5", "--levels", "8", "--patch", "48",
-                     "--out", str(out)]) == 0
+                     "--window", "5", "--levels", "8", "--out", str(out)]) == 0
         outs[threads] = out.read_bytes()
     assert outs["1"] == outs["8"]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -350,6 +351,24 @@ class TestPrediction:
         probs = model.predict_matrix(X[:100])
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
         assert probs.min() >= 0.0 and probs.max() <= 1.0
+
+    def test_blocks_equal_predict_matrix_bytes(self, rng, monkeypatch):
+        """Many blocks, the last one short, on one and two workers: the
+        bytes of `predict_matrix` on the whole X."""
+        X, y = xor_dataset(n=700)
+        model = rf.rf_train(rf.PixelDataset(X, y), XOR_HP)
+        stack = rng.uniform(-1, 1, size=(X.shape[1], 37, 29)).astype(np.float32)
+        whole = model.predict_matrix(stack.reshape(X.shape[1], -1).T)
+        expect = whole.T.tobytes()
+        monkeypatch.setattr(rf, "PREDICT_BLOCK_ROWS", 100)      # 11 blocks, the last of 73
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # interleave the workers' slice writes
+        try:
+            for threads in ("1", "2"):
+                monkeypatch.setenv("XFERKIT_THREADS", threads)
+                assert rf.rf_predict(model, stack).probs.tobytes() == expect
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_dimension_mismatch(self):
         model = rf.Forest([_leaf_tree([1, 0, 0, 0])], d=4)

@@ -188,16 +188,39 @@ class TestPlanTiles:
            st.integers(1, 600), st.floats(0, 0.9))
     @settings(max_examples=120, deadline=None)
     def test_coverage_and_bounds(self, w, h, patch, overlap):
+        """Per axis, so that no plan's windows are built."""
         plan = plan_tiles(w, h, patch, overlap)
         assert plan.stride == max(1, int(patch * (1 - overlap)))
-        seen_x = np.zeros(w, dtype=bool)
-        seen_y = np.zeros(h, dtype=bool)
+        for origins, dim in ((plan.xs, w), (plan.ys, h)):
+            size = min(patch, dim)
+            origins = np.asarray(origins)
+            assert origins[0] == 0 and (origins >= 0).all()
+            assert (origins + size <= dim).all()
+            steps = np.diff(origins)
+            assert (steps[:-1] == plan.stride).all() and (steps > 0).all()
+            seen = np.zeros(dim, dtype=bool)
+            for o in origins:
+                seen[o:o + size] = True
+            assert seen.all()
+
+    @pytest.mark.parametrize("w, h, patch, overlap", [
+        (3, 2, 2, 0.5), (700, 512, 512, 0.5), (5, 9, 4, 0.0), (100, 40, 512, 0.5)])
+    def test_windows_are_y_major_product_of_axes(self, w, h, patch, overlap):
+        plan = plan_tiles(w, h, patch, overlap)
+        assert plan.windows == tuple(Window(x, y, min(patch, w), min(patch, h))
+                                     for y in plan.ys for x in plan.xs)
+
+    def test_explicit_axes_and_coverage(self):
+        plan = plan_tiles(5, 3, 2, 0.5)
+        assert (plan.xs, plan.ys) == ((0, 1, 2, 3), (0, 1))
+        assert plan.windows[:5] == (Window(0, 0, 2, 2), Window(1, 0, 2, 2),
+                                    Window(2, 0, 2, 2), Window(3, 0, 2, 2),
+                                    Window(0, 1, 2, 2))
+        expect = np.zeros((3, 5), dtype=np.int32)
         for win in plan.windows:
-            assert win.x >= 0 and win.y >= 0
-            assert win.x + win.width <= w and win.y + win.height <= h
-            seen_x[win.x:win.x + win.width] = True
-            seen_y[win.y:win.y + win.height] = True
-        assert seen_x.all() and seen_y.all()
+            extract_patch(expect, win)[...] += 1
+        np.testing.assert_array_equal(plan.coverage(), expect)
+        assert plan.coverage().dtype == np.int32
 
 
 def _patch(window, dist):
@@ -278,6 +301,12 @@ class TestMerge:
         with pytest.raises(ValueError, match="does not match"):
             merge_probability_patches([(Window(0, 0, 2, 1), ok)], 2, 1)
 
+    def test_nan_patch_rejected(self):
+        nan = np.full((4, 1, 1), 0.25, dtype=np.float32)
+        nan[2] = np.nan
+        with pytest.raises(ValueError, match="sum to 1"):
+            merge_probability_patches([(Window(0, 0, 1, 1), nan)], 1, 1)
+
 
 class TestTypes:
     def test_duplicate_role_rejected(self):
@@ -299,6 +328,12 @@ class TestTypes:
         probs = np.full((4, 1, 1), 0.3, dtype=np.float32)
         with pytest.raises(ValueError, match="sum to 1"):
             ProbabilityMap(probs, np.ones((1, 1), dtype=np.int32))
+
+    def test_nan_probability_rejected(self):
+        probs = np.full((4, 1, 2), 0.25, dtype=np.float32)
+        probs[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ProbabilityMap(probs, np.ones((1, 2), dtype=np.int32))
 
     def test_nodata_range_checked(self):
         data = np.zeros((1, 1, 1), dtype=np.uint8)

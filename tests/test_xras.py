@@ -1,5 +1,6 @@
 """XRAS container and canonical serialization tests."""
 
+import math
 import struct
 
 import numpy as np
@@ -127,6 +128,18 @@ def test_probability_map_roundtrip():
     back = xras.read_probability_map(xras.write_xras(pmap))
     np.testing.assert_array_equal(back.weight, weight)
     np.testing.assert_array_equal(back.probs, pmap.probs)
+
+
+def test_probability_map_with_nan_pixel_rejected():
+    """A NaN pixel fails the range test rather than reading as uncovered."""
+    probs = np.full((4, 2, 2), 0.25, dtype=np.float32)
+    blob = bytearray(xras.write_xras(MultibandRaster(probs, (BandRole.OTHER,) * 4)))
+    payload = len(blob) - probs.nbytes      # the writer refuses NaN samples
+    for c in range(4):                      # pixel (row 1, col 0) of each plane
+        offset = payload + (c * 4 + 2) * 4
+        blob[offset:offset + 4] = struct.pack("<f", math.nan)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        xras.read_probability_map(blob)
 
 
 def test_canonical_json_deterministic_and_sorted():
