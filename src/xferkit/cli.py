@@ -173,10 +173,8 @@ def cmd_merge(args) -> int:
         window = Window(entry["x"], entry["y"], entry["width"], entry["height"])
         if any(type(v) is not int for v in window):     # rejects bools and floats too
             raise ValueError(f"manifest window fields must be integers: {entry}")
-        raster = xras.read_xras(Path(args.patches) / entry["file"])
-        if raster.bands != 4:
-            raise ValueError("merge expects 4-band probability patches")
-        patches.append((window, raster.data.astype(np.float32)))
+        pmap = xras.read_probability_map(Path(args.patches) / entry["file"])
+        patches.append((window, pmap.probs))
     pmap, labels = merge_probability_patches(patches, manifest["width"],
                                              manifest["height"])
     xras.write_xras(pmap, args.out)

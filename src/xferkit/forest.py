@@ -364,7 +364,7 @@ def rf_predict(forest: Forest, features: np.ndarray | MultibandRaster) -> Probab
         probs[:, rows] = forest.predict_matrix(flat[:, rows].T).T
 
     parallel_map(block, range(0, h * w, PREDICT_BLOCK_ROWS))
-    return ProbabilityMap(probs.reshape(N_CLASSES, h, w), np.ones((h, w), dtype=np.int32))
+    return ProbabilityMap(probs.reshape(N_CLASSES, h, w))
 
 
 # ---------------------------------------------------------------------------

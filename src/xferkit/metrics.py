@@ -117,9 +117,8 @@ def miou(conf: ConfusionMatrix) -> EvalResult:
 
 def posterior_confidence_sum(probs: ProbabilityMap) -> tuple[float, int]:
     """Sum over covered pixels of the per-pixel maximum class probability, and their count."""
-    covered = probs.weight > 0
-    return (float(probs.probs.max(axis=0)[covered].sum(dtype=np.float64)),
-            int(covered.sum()))
+    return (float(probs.probs.max(axis=0)[probs.weight].sum(dtype=np.float64)),
+            int(probs.weight.sum()))
 
 
 def mean_posterior_confidence(probs: ProbabilityMap) -> float:

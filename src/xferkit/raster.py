@@ -181,24 +181,29 @@ class LabelMap:
 
 @dataclass
 class ProbabilityMap:
-    """Per-pixel class probabilities plus an accumulation-count plane."""
+    """Class probabilities, (4, h, w) float32. A pixel is uncovered exactly
+    when its four planes are 0; every other pixel sums to 1 within 1e-3.
+    `weight` is the derived (h, w) bool mask of covered pixels; a `weight`
+    passed in must agree with it (`weight > 0`)."""
 
-    probs: np.ndarray        # (4, h, w) float32
-    weight: np.ndarray       # (h, w) int32 coverage count
+    probs: np.ndarray
+    weight: np.ndarray | None = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float32)
-        self.weight = np.asarray(self.weight, dtype=np.int32)
         if self.probs.ndim != 3 or self.probs.shape[0] != N_CLASSES:
             raise ValueError("probability stack must be (4, height, width)")
-        if self.weight.shape != self.probs.shape[1:]:
-            raise ValueError("weight plane does not match probability stack")
-        # both tests are written so that NaN fails them, covered or not
+        # both tests are written so that NaN fails them
         if self.probs.size and not (self.probs.min() >= 0.0 and self.probs.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
-        sums = self.probs.sum(axis=0)[self.weight > 0]
-        if not np.all(np.abs(sums - 1.0) <= 1e-3):
+        sums = self.probs.sum(axis=0)
+        covered = sums > 0      # the planes are >= 0: only four zeros sum to 0
+        if self.weight is not None and not (np.shape(self.weight) == covered.shape and
+                                            np.array_equal(np.asarray(self.weight) > 0, covered)):
+            raise ValueError("weight must be > 0 exactly where the probabilities are not all 0")
+        if not np.all(np.abs(sums[covered] - 1.0) <= 1e-3):
             raise ValueError("probabilities must sum to 1 within 1e-3")
+        self.weight = covered
 
     @property
     def height(self) -> int:
@@ -212,7 +217,7 @@ class ProbabilityMap:
         """Per-pixel argmax with ties broken to the lowest class code;
         uncovered pixels become void."""
         labels = np.argmax(self.probs, axis=0).astype(np.uint8)
-        labels[self.weight == 0] = LABEL_VOID
+        labels[~self.weight] = LABEL_VOID
         return LabelMap(labels)
 
 
@@ -243,14 +248,6 @@ class TilingPlan:
     def windows(self) -> tuple[Window, ...]:
         tw, th = min(self.patch_size, self.width), min(self.patch_size, self.height)
         return tuple(Window(x, y, tw, th) for y in self.ys for x in self.xs)
-
-    def coverage(self) -> np.ndarray:
-        """Windows covering each pixel, (height, width) int32: outer product of axis counts."""
-        def per_axis(origins, dim):     # origins at or before a pixel, minus ends
-            pos, ends = np.arange(dim), np.add(origins, min(self.patch_size, dim))
-            return np.searchsorted(origins, pos, "right") - np.searchsorted(ends, pos, "right")
-        return np.outer(per_axis(self.ys, self.height),
-                        per_axis(self.xs, self.width)).astype(np.int32)
 
 
 class ClassLookup:
@@ -487,18 +484,15 @@ def merge_probability_patches(patches: Iterable[tuple[Window, np.ndarray]],
     items.sort(key=lambda it: it[0])
 
     acc = np.zeros((N_CLASSES, height, width), dtype=np.float64)
-    weight = np.zeros((height, width), dtype=np.int32)
+    count = np.zeros((height, width), dtype=np.int32)
     for _, window, probs in items:
         ys = slice(window.y, window.y + window.height)
         xs = slice(window.x, window.x + window.width)
         acc[:, ys, xs] += probs
-        weight[ys, xs] += 1
+        count[ys, xs] += 1
 
-    covered = weight > 0
-    if not covered.all():
+    pmap = ProbabilityMap((acc / np.maximum(count, 1)).astype(np.float32))   # 0 where uncovered
+    if not pmap.weight.all():
         log.warning("merge: %d pixels covered by no patch set to void",
-                    int((~covered).sum()))
-    divisor = np.where(covered, weight, 1).astype(np.float64)
-    merged = (acc / divisor).astype(np.float32)     # 0 where uncovered
-    pmap = ProbabilityMap(merged, weight)
+                    int((~pmap.weight).sum()))
     return pmap, pmap.argmax_labels()

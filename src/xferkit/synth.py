@@ -166,6 +166,11 @@ def generate_scene(spec: DomainSpec, scene_index: int
     Layout and radiometry draw from separate streams keyed by
     (seed, scene_index), so changing gain/bias or spectra never changes
     the label map.
+
+    Memory grows with the scene: float64 (4, h, w) means, noise and
+    reflectance peak at about 185 bytes per pixel above the importing
+    process (measured with ru_maxrss: 196 MB for 1024², 771 MB for 2048²),
+    so about 3.1 GB for 4096².
     """
     h, w = spec.height, spec.width
     rng_layout = np.random.default_rng([spec.seed, scene_index, 0])

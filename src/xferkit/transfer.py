@@ -298,9 +298,9 @@ def predict_tiled(forest: Forest, features: np.ndarray, patch_size: int = 512,
     """The probability-voting merge of the windows of `plan_tiles(w, h,
     patch_size, overlap)` over a (d, h, w) feature stack, bit for bit: every
     window covering a pixel gives it the same float32 probabilities, whose
-    float64 mean is that value exactly. So this is `rf_predict` with the
-    plan's coverage count as `weight`."""
+    float64 mean is that value exactly, and the plan covers every pixel. So
+    this is `rf_predict`; the plan only validates `patch_size` and `overlap`.
+    Kept for `perfbench`'s `forest` op, and deleted with it (ROADMAP item 1)."""
     pmap = rf_predict(forest, features)
-    # the plan covers every pixel, so the validated covered set is unchanged
-    pmap.weight = plan_tiles(pmap.width, pmap.height, patch_size, overlap).coverage()
+    plan_tiles(pmap.width, pmap.height, patch_size, overlap)
     return pmap, pmap.argmax_labels()

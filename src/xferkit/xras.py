@@ -14,6 +14,10 @@ wire contracts. Everything is little-endian and bit-exact:
     gsd        f64  (0 when unknown)
     band_roles bands x u8
     payload    band-sequential, row-major samples
+
+A probability map is a 4-band F32 raster of class probabilities. It
+holds no coverage plane: a pixel is uncovered exactly when its four
+samples are 0, and every other pixel must sum to 1 within 1e-3.
 """
 
 from __future__ import annotations
@@ -42,16 +46,14 @@ def write_xras(obj: MultibandRaster | LabelMap | ProbabilityMap,
     """Encode a raster-like object; write to `path` when given.
 
     Label maps become U8 single-band rasters with role OTHER; probability
-    maps become F32 4-band rasters (the coverage-weight plane is not
-    stored, so uncovered pixels round-trip as all-zero rows). F32 payloads
-    with NaN are rejected: use nodata instead.
+    maps become their F32 4-band stack as given, so uncovered pixels,
+    which hold four zeros, stay uncovered on reading. F32 payloads with
+    NaN are rejected: use nodata instead.
     """
     if isinstance(obj, LabelMap):
         raster = MultibandRaster(obj.codes[None, :, :], (BandRole.OTHER,))
     elif isinstance(obj, ProbabilityMap):
-        probs = obj.probs.copy()
-        probs[:, obj.weight == 0] = 0.0
-        raster = MultibandRaster(probs, (BandRole.OTHER,) * N_CLASSES)
+        raster = MultibandRaster(obj.probs, (BandRole.OTHER,) * N_CLASSES)
     else:
         raster = obj
 
@@ -121,11 +123,11 @@ def read_label_map(src: str | Path | bytes) -> LabelMap:
 
 
 def read_probability_map(src: str | Path | bytes) -> ProbabilityMap:
+    """A 4-band F32 raster as a `ProbabilityMap`, which validates it."""
     raster = read_xras(src)
     if raster.dtype != Dtype.F32 or raster.bands != N_CLASSES:
         raise ValueError("probability rasters must be 4-band F32")
-    weight = (raster.data.sum(axis=0) > 0.5).astype(np.int32)
-    return ProbabilityMap(raster.data, weight)
+    return ProbabilityMap(raster.data)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,21 @@ def test_merge_rejects_non_integer_window_fields(tmp_path, value, capsys):
     assert "error: manifest window fields must be integers" in capsys.readouterr().err
 
 
+def test_merge_rejects_non_f32_patches(tmp_path, capsys):
+    """One-hot U16 patches sum to 1, but are not probability files."""
+    onehot = np.zeros((4, 4, 4), dtype=np.uint16)
+    onehot[0] = 1
+    probs = tmp_path / "probs.xras"
+    xras.write_xras(MultibandRaster(onehot, (BandRole.OTHER,) * 4), probs)
+    tiles = tmp_path / "tiles"
+    assert main(["tile", "--input", str(probs), "--patch", "2",
+                 "--overlap", "0", "--out-dir", str(tiles)]) == 0
+    out = tmp_path / "m.xras"
+    assert main(["merge", "--patches", str(tiles), "--out", str(out)]) == 1
+    assert "error: probability rasters must be 4-band F32" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_defaults_and_override(domain_dir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"pseudolabel": {"mbih_threshold": 4.5}}))
@@ -395,6 +410,23 @@ def test_assess_rejects_misregistered_probs(domain_dir, tmp_path, capsys):
                "--out", str(out)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_assess_rejects_probs_that_neither_sum_to_1_nor_are_0(domain_dir, tmp_path,
+                                                              capsys):
+    """A pixel at 0.1 per class is an error, not an uncovered pixel."""
+    data = np.full((4, 96, 96), 0.25, dtype=np.float32)
+    data[:, 5, 7] = 0.1
+    probs = tmp_path / "probs.xras"
+    xras.write_xras(MultibandRaster(data, (BandRole.OTHER,) * 4), probs)
+    out = tmp_path / "report.json"
+    rc = main(["assess", "--raster", str(domain_dir / "scene_000_rgbn.xras"),
+               "--pred", str(domain_dir / "scene_000_labels.xras"),
+               "--probs", str(probs), "--model-id", "m", "--domain-id", "d",
+               "--out", str(out)])
+    assert rc == 1
+    assert "error: probabilities must sum to 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -216,11 +216,10 @@ class TestPlanTiles:
         assert plan.windows[:5] == (Window(0, 0, 2, 2), Window(1, 0, 2, 2),
                                     Window(2, 0, 2, 2), Window(3, 0, 2, 2),
                                     Window(0, 1, 2, 2))
-        expect = np.zeros((3, 5), dtype=np.int32)
+        seen = np.zeros((3, 5), dtype=bool)
         for win in plan.windows:
-            extract_patch(expect, win)[...] += 1
-        np.testing.assert_array_equal(plan.coverage(), expect)
-        assert plan.coverage().dtype == np.int32
+            extract_patch(seen, win)[...] = True
+        assert seen.all()
 
 
 def _patch(window, dist):
@@ -245,7 +244,7 @@ class TestMerge:
         two = _patch(w, (0.2, 0.8, 0.0, 0.0))
         pmap, _ = merge_probability_patches([one, two], 1, 1)
         assert pmap.probs[1, 0, 0] == pytest.approx(0.7, abs=1e-7)
-        assert pmap.weight[0, 0] == 2
+        assert pmap.weight[0, 0]
 
     def test_exact_tie_takes_lowest_class(self):
         w = Window(0, 0, 1, 1)
@@ -334,6 +333,17 @@ class TestTypes:
         probs[1, 0, 1] = np.nan
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ProbabilityMap(probs, np.ones((1, 2), dtype=np.int32))
+
+    def test_weight_must_agree_with_probabilities(self):
+        probs = np.full((4, 1, 2), 0.25, dtype=np.float32)
+        probs[:, 0, 1] = 0.0
+        pmap = ProbabilityMap(probs, np.array([[3, 0]]))
+        np.testing.assert_array_equal(pmap.weight, [[True, False]])
+        assert pmap.weight.dtype == bool
+        # a non-zero pixel marked uncovered, an all-zero one covered, a wrong shape
+        for weight in ([[0, 0]], [[1, 1]], [[1, 0, 0]]):
+            with pytest.raises(ValueError, match="weight"):
+                ProbabilityMap(probs, np.array(weight))
 
     def test_nodata_range_checked(self):
         data = np.zeros((1, 1, 1), dtype=np.uint8)

@@ -9,8 +9,7 @@ import pytest
 from xferkit import _kernels, synth, transfer, xras
 from xferkit import forest as rf
 from xferkit.raster import (LABEL_BUILDING, LABEL_VOID, BandRole, LabelMap,
-                            MultibandRaster, ProbabilityMap,
-                            merge_probability_patches, plan_tiles)
+                            MultibandRaster, ProbabilityMap)
 
 
 @pytest.fixture(scope="module")
@@ -137,8 +136,8 @@ def _noisy(gt, rate, seed, with_probs=True):
     conf = 0.55 + 0.4 * rng.random(codes.shape)
     onehot = np.arange(4)[:, None, None] == codes[None]
     probs = np.where(onehot, conf, (1.0 - conf) / 3.0).astype(np.float32)
-    return transfer.Prediction(LabelMap(codes), ProbabilityMap(
-        probs, (codes != LABEL_VOID).astype(np.int32)))
+    probs[:, codes == LABEL_VOID] = 0.0         # void pixels are uncovered
+    return transfer.Prediction(LabelMap(codes), ProbabilityMap(probs))
 
 
 class TestAssessScenes:
@@ -299,18 +298,6 @@ class TestPredictTiled:
             assert pmap.probs.tobytes() == full.probs.tobytes()
             np.testing.assert_array_equal(labels.codes,
                                           full.argmax_labels().codes)
-
-    def test_weight_is_plan_coverage(self, fitted):
-        model, stack = fitted
-        pmap, _ = transfer.predict_tiled(model, stack, patch_size=64, overlap=0.5)
-        per_axis = np.repeat([1, 2, 1], 32)     # 96 px, windows at 0 and 32
-        np.testing.assert_array_equal(pmap.weight, np.outer(per_axis, per_axis))
-        # a plan with a clamped last window: the voting merge's counts
-        plan = plan_tiles(96, 96, 40, 0.3)
-        uniform = np.full((4, 40, 40), 0.25, dtype=np.float32)
-        merged, _ = merge_probability_patches([(w, uniform) for w in plan.windows], 96, 96)
-        pmap, _ = transfer.predict_tiled(model, stack, patch_size=40, overlap=0.3)
-        np.testing.assert_array_equal(pmap.weight, merged.weight)
 
     def test_each_pixel_routed_once(self, fitted, monkeypatch):
         """At overlap 0.5 the windows hold 2.25x the scene's pixels; every

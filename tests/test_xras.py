@@ -130,6 +130,26 @@ def test_probability_map_roundtrip():
     np.testing.assert_array_equal(back.probs, pmap.probs)
 
 
+def _probability_file(pixel_value: float) -> bytes:
+    """A 2x2 probability raster, uniform but for pixel (1, 0)."""
+    probs = np.full((4, 2, 2), 0.25, dtype=np.float32)
+    probs[:, 1, 0] = pixel_value
+    return xras.write_xras(MultibandRaster(probs, (BandRole.OTHER,) * 4))
+
+
+def test_probability_pixel_of_zeros_is_uncovered_and_void():
+    pmap = xras.read_probability_map(_probability_file(0.0))
+    np.testing.assert_array_equal(pmap.weight, [[True, True], [False, True]])
+    np.testing.assert_array_equal(pmap.argmax_labels().codes, [[0, 0], [255, 0]])
+
+
+@pytest.mark.parametrize("value", [0.1, 0.175])
+def test_probability_pixel_short_of_1_rejected(value):
+    """Sums of 0.4 and 0.7 are both errors; neither reads as uncovered."""
+    with pytest.raises(ValueError, match="sum to 1"):
+        xras.read_probability_map(_probability_file(value))
+
+
 def test_probability_map_with_nan_pixel_rejected():
     """A NaN pixel fails the range test rather than reading as uncovered."""
     probs = np.full((4, 2, 2), 0.25, dtype=np.float32)
