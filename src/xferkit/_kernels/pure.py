@@ -18,12 +18,12 @@ so these functions hold only the algorithms.
   unstable sort: at a value boundary neither the class counts nor the
   midpoint depend on the order of equal values, and non-boundaries are
   never scored.
-* `glcm_feature_image` tallies exact integer pair counts: the anchor
-  sums by box sums over summed-area tables, the count of each level pair
-  by sliding-window run sums of its 8-bit indicator image (Huang, Yang &
-  Tang 1979). The per-pair terms are looked up from the exact counts and
-  folded in sorted pair order, so neither the counting method nor the
-  block size changes a bit.
+* `glcm_feature_image` takes every window sum by sliding-window run sums
+  (Huang, Yang & Tang 1979): the anchor sums, and the count of each level
+  pair from its 8-bit indicator image. Each sum is taken in an order
+  local to its window, so neither the image's origin nor the block size
+  changes a bit: the per-pair terms are looked up from the exact counts
+  and folded in sorted pair order.
 """
 
 from __future__ import annotations
@@ -187,39 +187,27 @@ def reconstruct_dilation(marker: np.ndarray, mask: np.ndarray) -> np.ndarray:
 BLOCK_CELLS = 1 << 16
 
 
-def _box_sums(img: np.ndarray, r: int, dy: int, dx: int, dtype=None) -> np.ndarray:
-    """Per-center sum of an anchor image (over its last two axes) over the
-    window-constrained box, from a summed-area table (Crow 1984).
-
-    For direction (dy, dx) the anchors p contributing to center c satisfy
-    both p and p+d inside the centered (2r+1)^2 window, i.e.
+def _window_sums(img: np.ndarray, r: int, dy: int, dx: int) -> np.ndarray:
+    """Per-center sum of an anchor image over the box of direction (dy, dx):
+    the anchors p with p and p+d in the (2r+1)^2 window of center c, i.e.
     p in [c - r + max(0, -d), c + r - max(0, d)] per axis, clipped to the
-    image. The table has a zero first row and column and is edge-padded by
-    r on every side, so the clipped corners are plain slices. Needs
-    |dy|, |dx| <= 2r.
+    image. Padded by r zeros, the box is a run of 2r+1-|d| cells from
+    max(0, -d) per axis: run sums along the columns, then the rows, in
+    img's dtype and in an order local to the box. Needs |dy|, |dx| <= 2r.
     """
-    h, w = img.shape[-2:]
-    sat = np.zeros(img.shape[:-2] + (h + 2 * r + 1, w + 2 * r + 1), dtype or img.dtype)
-    core = sat[..., r + 1:r + 1 + h, r + 1:r + 1 + w]
-    np.cumsum(img, axis=-2, dtype=sat.dtype, out=core)
-    np.cumsum(core, axis=-1, out=core)
-    sat[..., r + 1:r + 1 + h, r + 1 + w:] = core[..., -1:]
-    sat[..., r + 1 + h:, :] = sat[..., r + h:r + h + 1, :]
-    y0, y1 = max(0, -dy), 2 * r + 1 - max(0, dy)
-    x0, x1 = max(0, -dx), 2 * r + 1 - max(0, dx)
-    y0, y1, x0, x1 = (slice(y0, y0 + h), slice(y1, y1 + h),
-                      slice(x0, x0 + w), slice(x1, x1 + w))
-    return (sat[..., y1, x1] - sat[..., y0, x1]
-            - sat[..., y1, x0] + sat[..., y0, x0])
+    h, w = img.shape
+    cols = _run_sums(np.pad(img, r)[:, max(0, -dx):], 2 * r + 1 - abs(dx), 1, w)
+    return _run_sums(cols[max(0, -dy):], 2 * r + 1 - abs(dy), 0, h)
 
 
 def _add_offset_sums(q: np.ndarray, levels: int, r: int, dy: int, dx: int,
                      sums: np.ndarray, s_hom: np.ndarray) -> np.ndarray:
     """Add the windowed sums of the pairs (p, p+d) to `sums` and `s_hom`;
     return the image of their pair codes min*levels+max, -1 where p+d is
-    outside the image or either level is invalid."""
+    outside the image or either level is invalid. The integer sums are
+    in q's dtype."""
     h, w = q.shape
-    b = np.full((h, w), -1, dtype=np.int64)
+    b = np.full((h, w), -1, dtype=q.dtype)
     b[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)] = \
         q[max(0, dy):h - max(0, -dy), max(0, dx):w - max(0, -dx)]
     valid = (q >= 0) & (b >= 0)
@@ -227,12 +215,13 @@ def _add_offset_sums(q: np.ndarray, levels: int, r: int, dy: int, dx: int,
     bv = np.where(valid, b, 0)
     diff = av - bv
     # tot, contrast, dissimilarity, x, xx and xy, each with its factor: a
-    # pair counts in both directions, and in the x sum as its two levels
-    anchor_sums = ((2, valid), (2, diff * diff), (2, np.abs(diff)),
-                   (1, av + bv), (1, av * av + bv * bv), (2, av * bv))
-    for acc, (f, img) in zip(sums, anchor_sums):
-        acc += f * _box_sums(img * valid, r, dy, dx, np.int64)
-    s_hom += 2.0 * _box_sums(np.where(valid, 1.0 / (1.0 + (diff * diff)), 0.0), r, dy, dx)
+    # pair counts in both directions, and in the x sum as its two levels;
+    # every image is 0 wherever the pair is invalid
+    anchors = (2 * valid.astype(q.dtype), 2 * diff * diff, 2 * np.abs(diff),
+               av + bv, av * av + bv * bv, 2 * av * bv)
+    for acc, img in zip(sums, anchors):
+        acc += _window_sums(img, r, dy, dx)
+    s_hom += 2.0 * _window_sums(np.where(valid, 1.0 / (1.0 + (diff * diff)), 0.0), r, dy, dx)
     pair = np.minimum(av, bv) * levels + np.maximum(av, bv)
     return np.where(valid, pair, -1).astype(np.int32)   # levels <= MAX_LEVELS
 
@@ -328,15 +317,18 @@ def glcm_feature_image(levels_img: np.ndarray, window: int, levels: int,
     no valid pair get all six set to 0. An offset as long as the window or
     the image adds no pair.
 
-    The six anchor sums are box sums over summed-area tables, one table
-    per offset and summed quantity. Energy and entropy need the count of
-    each present level pair; these are counted a block of pairs at a time
-    by run sums, which caps the temporaries at `BLOCK_CELLS` cells (one
-    pair's on a larger scene).
+    The six anchor sums are run sums over each offset's box, so a row
+    strip with an r-row halo gives the whole image's bits. Per offset they
+    are int32 when 2*(levels-1)^2 per anchor over (2r+1)^2 anchors fits,
+    else int64. Energy and entropy need the count of each present level
+    pair; these are counted a block of pairs at a time by run sums, which
+    caps the temporaries at `BLOCK_CELLS` cells (one pair's on a larger
+    scene).
     """
-    q = np.asarray(levels_img, dtype=np.int64)
-    h, w = q.shape
     r = window // 2
+    fits32 = 2 * (levels - 1) ** 2 * (2 * r + 1) ** 2 < 2 ** 31
+    q = np.asarray(levels_img, dtype=np.int32 if fits32 else np.int64)
+    h, w = q.shape
     sums = np.zeros((6, h, w), dtype=np.int64)
     s_hom = np.zeros((h, w), dtype=np.float64)
     codes = []

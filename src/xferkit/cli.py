@@ -168,15 +168,17 @@ def cmd_tile(args) -> int:
 def cmd_merge(args) -> int:
     manifest_path = Path(args.patches) / "tiles.json"
     manifest = json.loads(manifest_path.read_text())
+    width, height = manifest["width"], manifest["height"]
+    if any(type(v) is not int or v < 1 for v in (width, height)):   # rejects bools too
+        raise ValueError(f"manifest width and height must be integers >= 1: "
+                         f"{width!r}, {height!r}")
     patches = []
     for entry in manifest["windows"]:
         window = Window(entry["x"], entry["y"], entry["width"], entry["height"])
         if any(type(v) is not int for v in window):     # rejects bools and floats too
             raise ValueError(f"manifest window fields must be integers: {entry}")
-        pmap = xras.read_probability_map(Path(args.patches) / entry["file"])
-        patches.append((window, pmap.probs))
-    pmap, labels = merge_probability_patches(patches, manifest["width"],
-                                             manifest["height"])
+        patches.append((window, xras.read_probability_map(Path(args.patches) / entry["file"])))
+    pmap, labels = merge_probability_patches(patches, width, height)
     xras.write_xras(pmap, args.out)
     if args.labels_out:
         xras.write_xras(labels, args.labels_out)

@@ -30,15 +30,12 @@ class GlcmParams:
     window: int = 13
     levels: int = 32
     offsets: tuple[tuple[int, int], ...] = DEFAULT_OFFSETS
-    stats: tuple[str, ...] = GLCM_STAT_NAMES
 
     def __post_init__(self):
         if self.window < 3 or self.window % 2 != 1:
             raise ValueError("GLCM window must be odd and >= 3")
         if self.levels < 2:
             raise ValueError("need at least 2 gray levels")
-        if len(self.stats) != 6:
-            raise ValueError("the texture feature vector has exactly 6 statistics")
         if not self.offsets:
             raise ValueError("need at least one offset")
 

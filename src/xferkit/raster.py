@@ -281,10 +281,7 @@ _HIST_BINS = 65536
 
 
 def _band_samples(raster: MultibandRaster, role: BandRole) -> np.ndarray:
-    values = raster.band(role).ravel()
-    if raster.nodata is not None:
-        values = values[values != raster.nodata]
-    return values
+    return raster.band(role)[raster.valid_mask((role,))]
 
 
 def compute_truncation_bounds(rasters: Sequence[MultibandRaster], role: BandRole,
@@ -292,11 +289,11 @@ def compute_truncation_bounds(rasters: Sequence[MultibandRaster], role: BandRole
                               upper_pct: float = 2.0) -> TruncationBounds:
     """Dataset-level histogram-truncation bounds for one band role.
 
-    Pools non-nodata samples of the band across all rasters, cuts
-    floor(n * pct / 100) samples from each end and returns the extremes of
-    what remains. Integer dtypes use an exact 65536-bin histogram; float32
-    uses a two-pass (min-max, then 65536-bin) histogram, so float bounds
-    are accurate to one bin width.
+    Pools the band's valid samples (`valid_mask`: finite, not nodata)
+    across all rasters, cuts floor(n * pct / 100) samples from each end
+    and returns the extremes of what remains. Integer dtypes use an exact
+    65536-bin histogram; float32 uses a two-pass (min-max, then 65536-bin)
+    histogram, so float bounds are accurate to one bin width.
     """
     if lower_pct < 0 or upper_pct < 0:
         raise ValueError("percentages must be non-negative")
@@ -366,17 +363,18 @@ def normalize_truncate(raster: MultibandRaster,
 
     `bounds` maps band indices to (lo, hi) pairs; `bands` defaults to the
     keys of `bounds`. Bands without bounds are passed through as float32.
-    Nodata pixels become the NORMALIZED_NODATA sentinel. Degenerate bounds
-    (lo == hi) send all valid pixels to 0.
+    Nodata and non-finite samples become the NORMALIZED_NODATA sentinel,
+    the output's nodata. Degenerate bounds (lo == hi) send all valid
+    pixels to 0.
     """
     requested = list(bounds) if bands is None else list(bands)
     missing = [b for b in requested if b not in bounds]
     if missing:
         raise ValueError(f"missing bounds for bands {missing}")
-    out = raster.data.astype(np.float32).copy()
-    invalid = None
+    out = raster.data.astype(np.float32)
+    invalid = ~np.isfinite(raster.data)
     if raster.nodata is not None:
-        invalid = raster.data == raster.nodata
+        invalid |= raster.data == raster.nodata
     for b in requested:
         lo, hi = float(bounds[b][0]), float(bounds[b][1])
         band = raster.data[b].astype(np.float64)
@@ -386,7 +384,7 @@ def normalize_truncate(raster: MultibandRaster,
             scaled = np.clip((band - lo) / (hi - lo), 0.0, 1.0)
         out[b] = scaled.astype(np.float32)
     new_nodata = None
-    if invalid is not None:
+    if raster.nodata is not None or invalid.any():
         out[invalid] = NORMALIZED_NODATA
         new_nodata = NORMALIZED_NODATA
     return MultibandRaster(out, raster.band_roles, nodata=new_nodata,
@@ -455,28 +453,28 @@ def extract_patch(stack: np.ndarray, window: Window) -> np.ndarray:
                  window.x:window.x + window.width]
 
 
-def merge_probability_patches(patches: Iterable[tuple[Window, np.ndarray]],
+def merge_probability_patches(patches: Iterable[tuple[Window, ProbabilityMap]],
                               width: int, height: int
                               ) -> tuple[ProbabilityMap, LabelMap]:
     """Probability-voting merge of overlapping per-class patches.
 
     Per-pixel class probability is the arithmetic mean over covering
     patches; labels are the argmax with ties to the lowest class code.
-    Accumulation happens in a canonical patch order (sorted by window,
-    then payload digest), so the result is bit-identical under any patch
-    submission order or worker scheduling. Pixels covered by no patch are
-    reported and set void.
+    Each patch is a `ProbabilityMap`, whose checks it has passed; it must
+    cover every pixel of its window. Accumulation happens in a canonical
+    patch order (sorted by window, then payload digest), so the result is
+    bit-identical under any patch submission order or worker scheduling.
+    Pixels covered by no patch are reported and set void.
     """
     items = []
-    for window, probs in patches:
-        probs = np.asarray(probs, dtype=np.float32)
+    for window, pmap in patches:
+        probs = pmap.probs
         if probs.shape != (N_CLASSES, window.height, window.width):
             raise ValueError(f"patch shaped {probs.shape} does not match {window}")
         if window.x < 0 or window.y < 0 or \
                 window.x + window.width > width or window.y + window.height > height:
             raise ValueError(f"window {window} exceeds raster bounds")
-        sums = probs.sum(axis=0)
-        if not np.all(np.abs(sums - 1.0) <= 1e-3):     # NaN fails too
+        if not pmap.weight.all():
             raise ValueError("patch probabilities must sum to 1 within 1e-3")
         digest = hashlib.blake2b(probs.tobytes(), digest_size=8).hexdigest()
         items.append(((window.y, window.x, window.height, window.width, digest),

@@ -207,7 +207,7 @@ def test_c05_tiled_prediction_equals_full_image(study, monkeypatch):
     from xferkit.raster import extract_patch, plan_tiles
     plan = plan_tiles(stack.shape[2], stack.shape[1], 512, 0.5)
     patches = [(w, rf.rf_predict(model, np.ascontiguousarray(
-        extract_patch(stack, w))).probs) for w in plan.windows]
+        extract_patch(stack, w)))) for w in plan.windows]
     rng = np.random.default_rng(5)
     for _ in range(3):
         shuffled = [patches[i] for i in rng.permutation(len(patches))]

@@ -251,6 +251,24 @@ def test_merge_rejects_non_integer_window_fields(tmp_path, value, capsys):
     assert "error: manifest window fields must be integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("width", 1.0), ("width", "1"), ("width", True),
+                                         ("height", 4.0), ("height", 0), ("height", -4)])
+def test_merge_rejects_bad_manifest_sizes(tmp_path, field, value, capsys):
+    """The scene's size must be an int >= 1: a float or a string errors
+    out cleanly, and a bool is not read as 1."""
+    probs = tmp_path / "probs.xras"
+    xras.write_xras(ProbabilityMap(np.full((4, 4, 1), 0.25)), probs)
+    tiles = tmp_path / "tiles"
+    assert main(["tile", "--input", str(probs), "--patch", "2",
+                 "--overlap", "0", "--out-dir", str(tiles)]) == 0
+    manifest = json.loads((tiles / "tiles.json").read_text())
+    assert (manifest["width"], manifest["height"]) == (1, 4)
+    manifest[field] = value
+    (tiles / "tiles.json").write_text(json.dumps(manifest))
+    assert main(["merge", "--patches", str(tiles), "--out", str(tmp_path / "m.xras")]) == 1
+    assert "error: manifest width and height must be integers >= 1" in capsys.readouterr().err
+
+
 def test_merge_rejects_non_f32_patches(tmp_path, capsys):
     """One-hot U16 patches sum to 1, but are not probability files."""
     onehot = np.zeros((4, 4, 4), dtype=np.uint16)

@@ -204,14 +204,47 @@ def test_glcm_wide_windows_match_oracle(front, window, rng):
         np.testing.assert_allclose(feats[:, cy, cx], expect, atol=1e-9)
 
 
+def test_glcm_int64_sums_match_oracle(front, rng):
+    """Levels just above the int32 bound, 2*(levels-1)^2 * window^2 >= 2^31,
+    and pixels near levels-1: a full box's xx and xy sums pass 2^31 per
+    offset, so they must be taken in int64."""
+    window, levels = 31, 1100
+    assert 2 * (levels - 1) ** 2 * window ** 2 >= 2 ** 31
+    q = rng.integers(levels - 4, levels, (40, 38)).astype(np.int32)
+    q[0, 0] = -1
+    feats = front.glcm_feature_image(q, window, levels, OFFSETS)
+    centers = [(0, 0), (19, 18), (20, 20), (39, 37)]
+    for cy, cx in centers:
+        expect = glcm_window_oracle(q, window, levels, OFFSETS, cy, cx)
+        np.testing.assert_allclose(feats[:, cy, cx], expect, atol=1e-9)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 16, 23])
+@pytest.mark.parametrize("offsets", [OFFSETS] + [OFFSETS[i:i + 1] for i in range(4)],
+                         ids=["all", "east", "south", "southeast", "northeast"])
+def test_glcm_row_strips_equal_whole_image(front, rows, offsets):
+    """Each strip of output rows, computed from its rows and r rows of
+    halo on either side, equals the whole image's rows in all six float64
+    planes, bit for bit: every sum is taken inside its own window."""
+    q = glcm_scene()
+    r = 13 // 2
+    whole = front.glcm_feature_image(q, 13, 32, offsets)
+    for y0 in range(0, q.shape[0], rows):
+        y1 = min(y0 + rows, q.shape[0])
+        top = max(0, y0 - r)
+        strip = front.glcm_feature_image(q[top:y1 + r], 13, 32, offsets)
+        np.testing.assert_array_equal(strip[:, y0 - top:y1 - top], whole[:, y0:y1])
+
+
 @pytest.mark.parametrize("image, digest", [
-    ("random", "a6c50c50081bf3578ad8c303cdf5576a906ab7e9b5e4b61754853649a56aa6f2"),
-    ("scene", "5d4776644957a602a2239744beaf04790ccdbdced6b15bb32a6a2baa1ea3cc54"),
-])
+    ("random", "cf527e186f5afd58de334794ca37cc23b6c371c34f64730ab3b83db2d39a4687"),
+    ("scene", "8cfb9573f466418a91a50ae67663060aeed43b79c76e8dfd96d47fc9c0e12c12"),
+], ids=["random", "scene"])
 def test_glcm_bytes_pinned(image, digest):
     """The pure lane's statistics, bit for bit, on `glcm_scene()` and on
     the luminance levels of a 128x128 synthetic scene. The digests were
-    recorded when the pair counts were box sums over summed-area tables."""
+    recorded when every window sum became a run sum; summed-area tables
+    had given homogeneity other last bits (by up to 3.2e-14 here)."""
     if image == "random":
         q = glcm_scene()
     else:

@@ -65,6 +65,17 @@ class TestTruncationBounds:
         with pytest.raises(ValueError, match="no valid samples"):
             compute_truncation_bounds([all_nodata], BandRole.RED)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_excluded(self, bad, rng):
+        """One NaN or infinite pixel gives the bounds of the band without it."""
+        values = rng.uniform(-5, 20, size=500).astype(np.float32)
+        with_bad = np.insert(values, 123, bad)
+        for lower, upper in ((2, 2), (0, 0)):
+            assert compute_truncation_bounds([_single_band(with_bad, np.float32)],
+                                             BandRole.RED, lower, upper) == \
+                compute_truncation_bounds([_single_band(values, np.float32)],
+                                          BandRole.RED, lower, upper)
+
     def test_missing_band_errors(self):
         raster = _single_band([1, 2], np.uint8, role=BandRole.GREEN)
         with pytest.raises(ValueError, match="NIR"):
@@ -88,6 +99,13 @@ class TestNormalizeTruncate:
         out = normalize_truncate(raster, {0: (10, 30)})
         assert out.nodata == -1.0
         np.testing.assert_allclose(out.data[0, 0], [0.0, -1.0, 1.0])
+
+    def test_non_finite_samples_become_nodata(self):
+        raster = _single_band([10, np.nan, 30, np.inf, -np.inf], np.float32)
+        out = normalize_truncate(raster, {0: (10, 30)})
+        assert out.nodata == -1.0
+        np.testing.assert_array_equal(out.data[0, 0], [0.0, -1.0, 1.0, -1.0, -1.0])
+        np.testing.assert_array_equal(out.valid_mask()[0], [True, False, True, False, False])
 
     def test_missing_bounds_error(self):
         raster = _single_band([1, 2], np.uint8)
@@ -226,7 +244,7 @@ def _patch(window, dist):
     probs = np.zeros((4, window.height, window.width), dtype=np.float32)
     for c, v in enumerate(dist):
         probs[c] = v
-    return window, probs
+    return window, ProbabilityMap(probs)
 
 
 class TestMerge:
@@ -234,7 +252,7 @@ class TestMerge:
         probs = rng.dirichlet(np.ones(4), size=(3, 5)).astype(np.float32)
         probs = np.moveaxis(probs, -1, 0)
         pmap, labels = merge_probability_patches(
-            [(Window(0, 0, 5, 3), probs)], 5, 3)
+            [(Window(0, 0, 5, 3), ProbabilityMap(probs))], 5, 3)
         np.testing.assert_allclose(pmap.probs, probs, atol=1e-7)
         np.testing.assert_array_equal(labels.codes, np.argmax(probs, axis=0))
 
@@ -264,7 +282,7 @@ class TestMerge:
         patches = []
         for win in windows:
             raw = rng.dirichlet(np.ones(4), size=(win.height, win.width))
-            patches.append((win, np.moveaxis(raw, -1, 0).astype(np.float32)))
+            patches.append((win, ProbabilityMap(np.moveaxis(raw, -1, 0))))
         base, _ = merge_probability_patches(patches, 8, 6)
         for _ in range(5):
             perm = [patches[i] for i in rng.permutation(len(patches))]
@@ -284,7 +302,8 @@ class TestMerge:
 
         full = classify(image)
         plan = plan_tiles(22, 30, 16, 0.5)
-        patches = [(w, classify(extract_patch(image, w))) for w in plan.windows]
+        patches = [(w, ProbabilityMap(classify(extract_patch(image, w))))
+                   for w in plan.windows]
         pmap, labels = merge_probability_patches(patches, 22, 30)
         np.testing.assert_array_equal(
             labels.codes, np.argmax(full, axis=0).astype(np.uint8))
@@ -293,8 +312,8 @@ class TestMerge:
     def test_bad_patches_rejected(self):
         bad_sum = np.full((4, 1, 1), 0.3, dtype=np.float32)
         with pytest.raises(ValueError, match="sum to 1"):
-            merge_probability_patches([(Window(0, 0, 1, 1), bad_sum)], 1, 1)
-        ok = np.full((4, 1, 1), 0.25, dtype=np.float32)
+            merge_probability_patches([(Window(0, 0, 1, 1), ProbabilityMap(bad_sum))], 1, 1)
+        ok = ProbabilityMap(np.full((4, 1, 1), 0.25))
         with pytest.raises(ValueError, match="exceeds raster bounds"):
             merge_probability_patches([(Window(3, 0, 1, 1), ok)], 2, 1)
         with pytest.raises(ValueError, match="does not match"):
@@ -303,8 +322,16 @@ class TestMerge:
     def test_nan_patch_rejected(self):
         nan = np.full((4, 1, 1), 0.25, dtype=np.float32)
         nan[2] = np.nan
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            merge_probability_patches([(Window(0, 0, 1, 1), ProbabilityMap(nan))], 1, 1)
+
+    def test_patch_with_uncovered_pixel_rejected(self):
+        """A patch must cover its whole window: an all-zero pixel is not a
+        vote for the mean."""
+        gap = np.zeros((4, 1, 2), dtype=np.float32)
+        gap[1, 0, 0] = 1.0
         with pytest.raises(ValueError, match="sum to 1"):
-            merge_probability_patches([(Window(0, 0, 1, 1), nan)], 1, 1)
+            merge_probability_patches([(Window(0, 0, 2, 1), ProbabilityMap(gap))], 2, 1)
 
 
 class TestTypes:
