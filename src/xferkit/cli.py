@@ -3,7 +3,8 @@
 Every long option can also be supplied through a JSON config file passed
 as --config: keys are the option names with dashes replaced by
 underscores, either flat or nested under the command name (e.g.
-{"assess": {"se_size": 63}}). Explicit flags override the file.
+{"assess": {"se_size": 63}}). Explicit flags override the file, and
+required options must still be given as flags.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def cmd_pseudolabel(args) -> int:
     xras.write_xras(result.labels, args.out)
     if args.report:
         doc = {
-            "thresholds": result.thresholds.to_dict(),
+            "thresholds": result.thresholds,
             "width": result.labels.width,
             "height": result.labels.height,
             "void_pixels": int((~result.labels.valid_mask()).sum()),
@@ -168,12 +169,16 @@ def cmd_tile(args) -> int:
 def cmd_merge(args) -> int:
     manifest_path = Path(args.patches) / "tiles.json"
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict) or not isinstance(manifest["windows"], list):
+        raise ValueError("manifest must be an object with a list of windows")
     width, height = manifest["width"], manifest["height"]
     if any(type(v) is not int or v < 1 for v in (width, height)):   # rejects bools too
         raise ValueError(f"manifest width and height must be integers >= 1: "
                          f"{width!r}, {height!r}")
     patches = []
     for entry in manifest["windows"]:
+        if not isinstance(entry, dict) or not isinstance(entry["file"], str):
+            raise ValueError(f"manifest windows must be objects with a file name: {entry!r}")
         window = Window(entry["x"], entry["y"], entry["width"], entry["height"])
         if any(type(v) is not int for v in window):     # rejects bools and floats too
             raise ValueError(f"manifest window fields must be integers: {entry}")
@@ -252,7 +257,7 @@ def cmd_synth_generate(args) -> int:
         xras.write_xras(agl, out_dir / triple["agl"])
         xras.write_xras(labels, out_dir / triple["labels"])
         files.append(triple)
-    manifest = {"spec": spec.to_dict(), "n_scenes": args.scenes, "files": files}
+    manifest = {"spec": spec, "n_scenes": args.scenes, "files": files}
     xras.write_report(manifest, out_dir / "manifest.json")
     return 0
 
@@ -422,15 +427,6 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, d
     return parser, registry
 
 
-def _find_config(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
 def _command_path(argv: list[str]) -> str:
     words = []
     for token in argv:
@@ -442,34 +438,32 @@ def _command_path(argv: list[str]) -> str:
     return " ".join(words)
 
 
-def _apply_config(registry: dict, argv: list[str]) -> None:
-    path = _find_config(argv)
-    if path is None:
-        return
+def _apply_config(sub: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Set the options that the JSON file at `path` names as defaults of
+    `command`'s parser `sub`."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    command = _command_path(argv)
     section = {k: v for k, v in doc.items() if not isinstance(v, dict)}
     for key in (command, command.replace(" ", "_")):
         nested = doc.get(key)
         if isinstance(nested, dict):
             section.update(nested)
-    sub = registry.get(command)
-    if sub is None:
-        return
     dests = {a.dest for a in sub._actions}
-    defaults = {k: v for k, v in section.items() if k in dests}
-    sub.set_defaults(**defaults)
+    sub.set_defaults(**{k: v for k, v in section.items() if k in dests})
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argv that opens with an option (say --config) names no command
-    parser, registry = build_parser(_command_path(argv) or None)
+    # argv that opens with an option names no command
+    command = _command_path(argv)
+    parser, registry = build_parser(command or None)
     try:
-        _apply_config(registry, argv)
         args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # the file's values become defaults, so flags still override them
+            _apply_config(registry[command], command, args.config)
+            args = parser.parse_args(argv)
         return args.func(args) or 0
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

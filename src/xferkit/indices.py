@@ -83,10 +83,6 @@ class ThresholdSet:
         if self.source not in ("otsu", "manual"):
             raise ValueError("threshold source must be 'otsu' or 'manual'")
 
-    def to_dict(self) -> dict:
-        return {"t_ndvi": self.t_ndvi, "t_ndwi": self.t_ndwi,
-                "t_mbih": self.t_mbih, "source": self.source}
-
 
 class OtsuResult(NamedTuple):
     threshold: float

@@ -50,15 +50,6 @@ class EvalResult:
     n_classes_scored: int
     valid_pixels: int
 
-    def to_dict(self) -> dict:
-        return {
-            "per_class_iou": list(self.per_class_iou),
-            "miou": self.miou,
-            "miou_strict": self.miou_strict,
-            "n_classes_scored": self.n_classes_scored,
-            "valid_pixels": self.valid_pixels,
-        }
-
 
 @dataclass
 class CorrelationStats:
@@ -71,10 +62,6 @@ class CorrelationStats:
     @property
     def low_n(self) -> bool:
         return self.n < 3
-
-    def to_dict(self) -> dict:
-        return {"r": self.r, "r2": self.r2, "slope": self.slope,
-                "intercept": self.intercept, "n": self.n, "low_n": self.low_n}
 
 
 def confusion(pred: LabelMap, ref: LabelMap) -> ConfusionMatrix:

@@ -357,25 +357,19 @@ def compute_truncation_bounds(rasters: Sequence[MultibandRaster], role: BandRole
 
 
 def normalize_truncate(raster: MultibandRaster,
-                       bounds: Mapping[int, tuple | TruncationBounds],
-                       bands: Sequence[int] | None = None) -> MultibandRaster:
+                       bounds: Mapping[int, tuple | TruncationBounds]) -> MultibandRaster:
     """Rescale bands to [0, 1] with clamping: v' = clip((v-lo)/(hi-lo), 0, 1).
 
-    `bounds` maps band indices to (lo, hi) pairs; `bands` defaults to the
-    keys of `bounds`. Bands without bounds are passed through as float32.
-    Nodata and non-finite samples become the NORMALIZED_NODATA sentinel,
-    the output's nodata. Degenerate bounds (lo == hi) send all valid
-    pixels to 0.
+    `bounds` maps band indices to (lo, hi) pairs. Bands without bounds are
+    passed through as float32. Nodata and non-finite samples become the
+    NORMALIZED_NODATA sentinel, the output's nodata. Degenerate bounds
+    (lo == hi) send all valid pixels to 0.
     """
-    requested = list(bounds) if bands is None else list(bands)
-    missing = [b for b in requested if b not in bounds]
-    if missing:
-        raise ValueError(f"missing bounds for bands {missing}")
     out = raster.data.astype(np.float32)
     invalid = ~np.isfinite(raster.data)
     if raster.nodata is not None:
         invalid |= raster.data == raster.nodata
-    for b in requested:
+    for b in bounds:
         lo, hi = float(bounds[b][0]), float(bounds[b][1])
         band = raster.data[b].astype(np.float64)
         if hi == lo:

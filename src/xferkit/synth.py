@@ -11,7 +11,7 @@ rule.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -64,43 +64,32 @@ class DomainSpec:
         if sum(fracs) > 0.85:
             raise ValueError("fractions above 0.85 cannot be laid out reliably")
 
-    def to_dict(self) -> dict:
-        return {
-            "width": self.width, "height": self.height, "seed": self.seed,
-            "tree_fraction": self.tree_fraction,
-            "water_fraction": self.water_fraction,
-            "building_fraction": self.building_fraction,
-            "building_height_range": list(self.building_height_range),
-            "canopy_height_range": list(self.canopy_height_range),
-            "gain": list(self.gain), "bias": list(self.bias),
-            "psf": self.psf, "gsd": self.gsd,
-            "spectra": {
-                str(c): {"mean": list(s.mean), "sigma": s.sigma,
-                         "texture": s.texture}
-                for c, s in sorted(self.spectra.items())
-            },
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "DomainSpec":
-        doc = dict(doc)
-        spectra = doc.pop("spectra", None)
-        kwargs = {}
-        for key in ("width", "height", "seed", "tree_fraction", "water_fraction",
-                    "building_fraction", "psf", "gsd"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        for key in ("building_height_range", "canopy_height_range", "gain", "bias"):
-            if key in doc:
-                kwargs[key] = tuple(doc[key])
-        spec = cls(**kwargs)
-        if spectra is not None:
-            spec.spectra = {
-                int(c): ClassSpectrum(tuple(s["mean"]), s.get("sigma", 0.02),
-                                      s.get("texture", 0.02))
-                for c, s in spectra.items()
-            }
-        return spec
+        """A spec as `canonical_json` writes it, or a part of one: lists
+        become tuples, `spectra` keys become ints, and omitted fields take
+        their defaults. A key that names no field raises ValueError."""
+        kw = _field_values(cls, doc)
+        if "spectra" in kw:
+            kw["spectra"] = {int(c): ClassSpectrum(**_field_values(ClassSpectrum, s))
+                             for c, s in kw["spectra"].items()}
+        return cls(**kw)
+
+
+def _field_values(cls, doc: dict) -> dict:
+    """`doc` as keyword arguments of the dataclass `cls`, lists as tuples.
+    `doc` is input from outside the program, so it is checked against the
+    fields first."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, not {doc!r}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} keys: {missing}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 
 def _stamp_ellipses(labels, agl, rng, target_fraction, cls, radii, heights):

@@ -97,23 +97,10 @@ class TransferReport:
     per_scene_index_miou: tuple[float, ...] | None = None
     per_scene_gt_miou: tuple[float, ...] | None = None
 
-    def to_dict(self) -> dict:
-        """Fields in declaration order; None fields are omitted and tuples
-        become lists."""
-        doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "thresholds":
-                value = [t.to_dict() for t in value]
-            elif isinstance(value, tuple):
-                value = list(value)
-            if value is not None:
-                doc[f.name] = value
-        return doc
-
     @classmethod
     def from_dict(cls, doc: dict) -> "TransferReport":
-        """Inverse of `to_dict`; a missing required key raises KeyError."""
+        """A report as `canonical_json` wrote it; a missing required key
+        raises KeyError."""
         kw = {f.name: doc[f.name] for f in fields(cls)
               if f.name in doc or f.default is MISSING}
         for name, value in kw.items():

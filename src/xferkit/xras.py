@@ -18,6 +18,12 @@ wire contracts. Everything is little-endian and bit-exact:
 A probability map is a 4-band F32 raster of class probabilities. It
 holds no coverage plane: a pixel is uncovered exactly when its four
 samples are 0, and every other pixel must sum to 1 within 1e-3.
+
+Records (reports, manifests, specs) are written by one rule,
+`canonical_json`: a dataclass becomes an object of its fields that are
+not None; dict keys become strings, and two keys that stringify alike are
+an error; object keys are sorted; tuples are lists; floats keep 6
+significant digits.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import csv
 import io
 import json
 import struct
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -149,26 +156,28 @@ def _canon_value(obj: Any) -> str:
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, dict):
-        keys = sorted(str(k) for k in obj)
-        if len(keys) != len(obj):
+        named = {str(k): v for k, v in obj.items()}
+        if len(named) != len(obj):
             raise ValueError("duplicate keys after stringification")
-        items = (f"{json.dumps(k, ensure_ascii=True)}:{_canon_value(obj[k])}"
-                 for k in keys)
+        items = (f"{json.dumps(k, ensure_ascii=True)}:{_canon_value(named[k])}"
+                 for k in sorted(named))
         return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_canon_value(v) for v in obj) + "]"
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _canon_value({f.name: v for f in fields(obj)
+                             if (v := getattr(obj, f.name)) is not None})
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, floats at 6 significant digits."""
+    """Deterministic JSON by the record rule of the module docstring."""
     return _canon_value(obj)
 
 
 def write_report(report: Any, path: str | Path) -> None:
-    """Serialize a report object (anything with to_dict, or a plain dict)."""
-    doc = report.to_dict() if hasattr(report, "to_dict") else report
-    Path(path).write_text(canonical_json(doc) + "\n")
+    """Write a record, a dataclass or a dict, as one line of canonical JSON."""
+    Path(path).write_text(canonical_json(report) + "\n")
 
 
 def format_cell(value: Any) -> str:

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage over temp directories."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ import xferkit
 from xferkit import _kernels, _parallel, synth, transfer, xras
 from xferkit import forest as rf
 from xferkit.cli import build_parser, main
-from xferkit.raster import BandRole, MultibandRaster, ProbabilityMap
+from xferkit.raster import BandRole, LabelMap, MultibandRaster, ProbabilityMap
 
 COMMANDS = sorted(build_parser()[1])
 
@@ -60,6 +61,15 @@ def test_synth_generate_outputs(domain_dir):
     assert labels.codes.shape == (96, 96)
     rgbn = xras.read_xras(domain_dir / "scene_000_rgbn.xras")
     assert rgbn.normalized
+
+
+def test_synth_generate_rejects_unknown_spec_key(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 32, "height": 32, "water_fracton": 0.0}))
+    out = tmp_path / "domain"
+    assert main(["synth", "generate", "--spec", str(spec), "--out-dir", str(out)]) == 1
+    assert "water_fracton" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_normalize_command(tmp_path):
@@ -269,6 +279,26 @@ def test_merge_rejects_bad_manifest_sizes(tmp_path, field, value, capsys):
     assert "error: manifest width and height must be integers >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda m: m["windows"][0].update(file=5),
+    lambda m: m.update(windows={"a": 1}),
+    lambda m: m.update(windows=[5]),
+    lambda m: [m],
+], ids=["file-int", "windows-object", "window-int", "manifest-list"])
+def test_merge_rejects_mistyped_manifest(tmp_path, edit, capsys):
+    """Each exits 1 with an error line, not a TypeError traceback."""
+    probs = tmp_path / "probs.xras"
+    xras.write_xras(ProbabilityMap(np.full((4, 4, 4), 0.25)), probs)
+    tiles = tmp_path / "tiles"
+    assert main(["tile", "--input", str(probs), "--patch", "2",
+                 "--overlap", "0", "--out-dir", str(tiles)]) == 0
+    manifest = json.loads((tiles / "tiles.json").read_text())
+    manifest = edit(manifest) or manifest
+    (tiles / "tiles.json").write_text(json.dumps(manifest))
+    assert main(["merge", "--patches", str(tiles), "--out", str(tmp_path / "m.xras")]) == 1
+    assert "error: manifest" in capsys.readouterr().err
+
+
 def test_merge_rejects_non_f32_patches(tmp_path, capsys):
     """One-hot U16 patches sum to 1, but are not probability files."""
     onehot = np.zeros((4, 4, 4), dtype=np.uint16)
@@ -315,6 +345,20 @@ def test_config_default_does_not_leak(domain_dir, tmp_path):
     assert json.loads(report.read_text())["thresholds"]["t_mbih"] == 4.5
     assert main(args) == 0
     assert json.loads(report.read_text())["thresholds"]["t_mbih"] == 2.0
+
+
+@pytest.mark.parametrize("flag", ["--config", "--conf", "--conf="])
+def test_config_file_read_under_any_spelling_argparse_accepts(tmp_path, flag):
+    """An abbreviation that argparse takes for --config applies the file."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 32, "height": 32}))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"synth_generate": {"scenes": 2, "spec": str(spec)}}))
+    out = tmp_path / "domain"
+    given = [flag + str(config)] if flag.endswith("=") else [flag, str(config)]
+    assert main(["synth", "generate", *given, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["n_scenes"] == 2 and manifest["spec"]["width"] == 32
 
 
 def _exit_code(argv) -> int:
@@ -461,3 +505,68 @@ def test_threads_env_does_not_change_output(domain_dir, model_path, tmp_path,
                      "--window", "5", "--levels", "8", "--out", str(out)]) == 0
         outs[threads] = out.read_bytes()
     assert outs["1"] == outs["8"]
+
+
+# sha256 of each JSON and CSV record that `test_record_bytes_pinned` writes
+RECORD_SHA256 = {
+    "domain/manifest.json":
+        "7a16ace5f9061aae575384e1cbf134e048907b054d79f85fe97c0b8129b20c27",
+    "pseudo.json":
+        "1716b96b067eed46d02cc79ba9cdccd68851022da83c5c109395fadd233dd0f4",
+    "eval.json":
+        "0ae05fc53490bbcf2603684c15ceddc07177110623b4785dd8ab4735800306e6",
+    "report_gt.json":
+        "d640272fea1bae925e40dd2ecc795459a17a3de46744ed72f6d0b2ee53c547c3",
+    "report_rot.json":
+        "c97d9388dee872223d2a5dbda8abf42957800d7f9e321a5cdb091555fb8b54ab",
+    "rank.csv":
+        "0acf0b6a5ef4a7e235eb3ba4ca7f15c5794a3da3e1a3851cbb852cd5d4064d2f",
+    "corr.csv":
+        "cfd0ed3c345d16de4f9930491fe0b9234621de38d519375848c2d96d42612b94",
+    "norm/normalization.json":
+        "1394f737d8af000b35e8098dc6c907fe5b87196d34d9338afabbdab11d33394d",
+}
+
+
+def test_record_bytes_pinned(tmp_path):
+    """The CLI's records, byte for byte, on a small seeded domain: a
+    manifest from a --spec with a gain and two partial spectra, the
+    pseudolabel report, evaluate, two assess reports with --probs and
+    --gt, rank, correlate and normalize."""
+    spec = {"width": 64, "height": 64, "seed": 5, "gain": [0.9, 1.0, 1.1, 1.0],
+            "spectra": {"1": {"mean": [0.1, 0.22, 0.09, 0.62]},
+                        "3": {"mean": [0.05, 0.12, 0.15, 0.02], "sigma": 0.015}}}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    dom = tmp_path / "domain"
+    assert main(["synth", "generate", "--spec", str(tmp_path / "spec.json"),
+                 "--scenes", "2", "--out-dir", str(dom)]) == 0
+    rgbn, agl, gt = (str(dom / f"scene_000_{k}.xras") for k in ("rgbn", "agl", "labels"))
+    height = ["--height", agl, "--height-kind", "agl"]
+    assert main(["pseudolabel", "--raster", rgbn, *height, "--out",
+                 str(tmp_path / "pseudo.xras"), "--report", str(tmp_path / "pseudo.json")]) == 0
+    assert main(["evaluate", "--pred", str(tmp_path / "pseudo.xras"), "--gt", gt,
+                 "--out", str(tmp_path / "eval.json")]) == 0
+
+    codes = xras.read_label_map(gt).codes
+    for model, shift, top in (("gt", 0, 0.7), ("rot", 1, 0.4)):
+        pred = (codes + shift) % 4
+        probs = np.full((4,) + codes.shape, (1 - top) / 3, dtype=np.float32)
+        for c in range(4):
+            probs[c][pred == c] = top
+        xras.write_xras(LabelMap(pred.astype(np.uint8)), tmp_path / f"{model}.xras")
+        xras.write_xras(ProbabilityMap(probs), tmp_path / f"{model}_probs.xras")
+        assert main(["assess", "--raster", rgbn, *height,
+                     "--pred", str(tmp_path / f"{model}.xras"),
+                     "--probs", str(tmp_path / f"{model}_probs.xras"), "--gt", gt,
+                     "--model-id", model, "--domain-id", "pinned",
+                     "--timestamp", "2026-01-01T00:00:00+00:00",
+                     "--out", str(tmp_path / f"report_{model}.json")]) == 0
+    reports = [str(tmp_path / f"report_{m}.json") for m in ("gt", "rot")]
+    assert main(["rank", "--reports", *reports, "--out", str(tmp_path / "rank.csv")]) == 0
+    assert main(["correlate", "--reports", *reports, "--out", str(tmp_path / "corr.csv")]) == 0
+    assert main(["normalize", "--input", rgbn, str(dom / "scene_001_rgbn.xras"),
+                 "--out-dir", str(tmp_path / "norm")]) == 0
+
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in RECORD_SHA256}
+    assert digests == RECORD_SHA256

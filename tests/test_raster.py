@@ -107,11 +107,6 @@ class TestNormalizeTruncate:
         np.testing.assert_array_equal(out.data[0, 0], [0.0, -1.0, 1.0, -1.0, -1.0])
         np.testing.assert_array_equal(out.valid_mask()[0], [True, False, True, False, False])
 
-    def test_missing_bounds_error(self):
-        raster = _single_band([1, 2], np.uint8)
-        with pytest.raises(ValueError, match="missing bounds"):
-            normalize_truncate(raster, {}, bands=[0])
-
     def test_ramp_clamp_fractions_match_oracle(self):
         ramp = np.arange(65536, dtype=np.uint16)
         raster = _single_band(ramp, np.uint16)

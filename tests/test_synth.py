@@ -1,9 +1,11 @@
 """Synthetic domain generator."""
 
+import json
+
 import numpy as np
 import pytest
 
-from xferkit import synth
+from xferkit import synth, xras
 from xferkit.raster import (LABEL_BUILDING, LABEL_GROUND, LABEL_TREE,
                             LABEL_WATER, BandRole)
 
@@ -104,5 +106,17 @@ def test_spec_validation():
 
 def test_spec_dict_roundtrip():
     spec = small_spec(gain=(0.9, 0.9, 0.9, 0.9))
-    again = synth.DomainSpec.from_dict(spec.to_dict())
+    again = synth.DomainSpec.from_dict(json.loads(xras.canonical_json(spec)))
     assert again == spec
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"water_fracton": 0.0}, r"unknown DomainSpec keys: \['water_fracton'\]"),
+    ({"spectra": {"1": {"mean": [0.1, 0.2, 0.1, 0.6], "sigm": 0.1}}},
+     r"unknown ClassSpectrum keys: \['sigm'\]"),
+    ({"spectra": {"1": {"sigma": 0.1}}}, r"missing ClassSpectrum keys: \['mean'\]"),
+])
+def test_spec_dict_rejects_unknown_and_missing_keys(doc, message):
+    """A spec read from a file names every key it cannot place."""
+    with pytest.raises(ValueError, match=message):
+        synth.DomainSpec.from_dict(doc)

@@ -81,7 +81,7 @@ class TestAssess:
                   gt=gt, timestamp="t0")
         one = transfer.assess(pred, rgbn, agl, **kw)
         two = transfer.assess(pred, rgbn, agl, **kw)
-        assert one.to_dict() == two.to_dict()
+        assert xras.canonical_json(one) == xras.canonical_json(two)
         other = transfer.assess(pred, rgbn, agl, se_size=31, **kw)
         assert other.config_digest != one.config_digest
 
@@ -92,11 +92,12 @@ class TestAssess:
                                height_is_agl=True, timestamp="t0")
         rich = transfer.assess(pred, rgbn, agl, model_id="m", domain_id="d",
                                height_is_agl=True, gt=gt, timestamp="t0")
-        assert "gt_miou" not in bare.to_dict()
-        assert "mean_confidence" not in bare.to_dict()
-        assert "gt_miou" in rich.to_dict()
-        roundtrip = transfer.TransferReport.from_dict(
-            json.loads(xras.canonical_json(rich.to_dict())))
+        bare_doc = json.loads(xras.canonical_json(bare))
+        rich_doc = json.loads(xras.canonical_json(rich))
+        assert "gt_miou" not in bare_doc
+        assert "mean_confidence" not in bare_doc
+        assert "gt_miou" in rich_doc
+        roundtrip = transfer.TransferReport.from_dict(rich_doc)
         assert roundtrip.gt_miou == pytest.approx(rich.gt_miou, abs=1e-6)
 
     def test_multi_scene_pooling(self, scene):
@@ -179,8 +180,7 @@ class TestAssessScenes:
         assert len(reports) == 3
         for (model_id, preds), report in zip(predictions.items(), reports):
             [alone] = transfer.assess_scenes(scenes, {model_id: preds}, **kw)
-            assert (xras.canonical_json(report.to_dict())
-                    == xras.canonical_json(alone.to_dict()))
+            assert xras.canonical_json(report) == xras.canonical_json(alone)
             assert report == alone
         assert reports[0].per_scene_gt_miou is not None
         assert len(reports[0].per_scene_gt_miou) == 1

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -168,6 +169,32 @@ def test_canonical_json_deterministic_and_sorted():
     two = xras.canonical_json({"c": {"x": 1e-7, "y": 2}, "a": [1.0, 0.123456789, True, None], "b": 1})
     assert one == two
     assert one == '{"a":[1,0.123457,true,null],"b":1,"c":{"x":1e-07,"y":2}}'
+
+
+def test_canonical_json_stringifies_keys_before_sorting():
+    assert xras.canonical_json({2: "a", 10: "b"}) == '{"10":"b","2":"a"}'
+    with pytest.raises(ValueError, match="duplicate keys"):
+        xras.canonical_json({1: 0, "1": 0})
+
+
+def test_canonical_json_writes_dataclass_fields_that_are_not_none():
+    @dataclass
+    class Inner:
+        t: float
+        kind: str | None = None
+
+    @dataclass
+    class Outer:
+        name: str
+        parts: tuple[Inner, ...]
+        score: float | None = None
+        by_class: dict | None = None
+
+    doc = Outer("x", (Inner(0.5), Inner(0.25, "otsu")), by_class={1: None})
+    assert (xras.canonical_json(doc) == '{"by_class":{"1":null},"name":"x",'
+            '"parts":[{"t":0.5},{"kind":"otsu","t":0.25}]}')
+    with pytest.raises(TypeError):
+        xras.canonical_json(Outer)
 
 
 def test_canonical_json_rejects_non_finite():
