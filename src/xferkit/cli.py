@@ -244,18 +244,16 @@ def cmd_synth_generate(args) -> int:
         spec = synthmod.DomainSpec.from_dict(json.loads(Path(args.spec).read_text()))
     else:
         spec = synthmod.DomainSpec()
+    if args.scenes < 1:
+        raise ValueError("need at least one scene")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
-    for i, (rgbn, agl, labels) in enumerate(synthmod.generate_domain(spec, args.scenes)):
-        triple = {
-            "rgbn": f"scene_{i:03d}_rgbn.xras",
-            "agl": f"scene_{i:03d}_agl.xras",
-            "labels": f"scene_{i:03d}_labels.xras",
-        }
-        xras.write_xras(rgbn, out_dir / triple["rgbn"])
-        xras.write_xras(agl, out_dir / triple["agl"])
-        xras.write_xras(labels, out_dir / triple["labels"])
+    for i in range(args.scenes):
+        triple = {kind: f"scene_{i:03d}_{kind}.xras" for kind in ("rgbn", "agl", "labels")}
+        # written as generated, so one scene at a time is held in memory
+        for kind, raster in zip(triple, synthmod.generate_scene(spec, i)):
+            xras.write_xras(raster, out_dir / triple[kind])
         files.append(triple)
     manifest = {"spec": spec, "n_scenes": args.scenes, "files": files}
     xras.write_report(manifest, out_dir / "manifest.json")

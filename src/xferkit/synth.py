@@ -10,13 +10,15 @@ rule.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .raster import (LABEL_BUILDING, LABEL_GROUND, LABEL_TREE, LABEL_WATER,
-                     BandRole, LabelMap, MultibandRaster)
+                     N_CLASSES, BandRole, LabelMap, MultibandRaster)
 
 RGBN_ROLES = (BandRole.RED, BandRole.GREEN, BandRole.BLUE, BandRole.NIR)
 
@@ -26,6 +28,11 @@ class ClassSpectrum:
     mean: tuple[float, float, float, float]
     sigma: float = 0.02
     texture: float = 0.02
+
+    def __post_init__(self):
+        _check_numbers(self, "mean", 4)
+        _check_numbers(self, "sigma")
+        _check_numbers(self, "texture")
 
 
 def _default_spectra() -> dict[int, ClassSpectrum]:
@@ -56,6 +63,28 @@ class DomainSpec:
     gsd: float = 0.31
 
     def __post_init__(self):
+        for name in ("width", "height", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"DomainSpec.{name} must be an integer, "
+                                 f"not {getattr(self, name)!r}")
+        for name in ("tree_fraction", "water_fraction", "building_fraction", "gsd"):
+            _check_numbers(self, name)
+        for name in ("gain", "bias"):
+            _check_numbers(self, name, 4)
+        for name in ("building_height_range", "canopy_height_range"):
+            lo, hi = _check_numbers(self, name, 2)
+            if lo > hi:
+                raise ValueError(f"DomainSpec.{name} must have lo <= hi, "
+                                 f"not {getattr(self, name)!r}")
+        if not isinstance(self.psf, (bool, np.bool_)):
+            raise ValueError(f"DomainSpec.psf must be true or false, not {self.psf!r}")
+        if not isinstance(self.spectra, dict):
+            raise ValueError(f"DomainSpec.spectra must map class codes to "
+                             f"spectra, not {self.spectra!r}")
+        for c in self.spectra:
+            if not (_is_int(c) and 0 <= c < N_CLASSES):
+                raise ValueError(f"DomainSpec.spectra keys must be class codes "
+                                 f"0-{N_CLASSES - 1}, not {c!r}")
         fracs = (self.tree_fraction, self.water_fraction, self.building_fraction)
         if any(f < 0 or f > 1 for f in fracs) or sum(fracs) > 1.0:
             raise ValueError("class fractions must be in [0, 1] and sum to <= 1")
@@ -70,8 +99,9 @@ class DomainSpec:
         become tuples, `spectra` keys become ints, and omitted fields take
         their defaults. A key that names no field raises ValueError."""
         kw = _field_values(cls, doc)
-        if "spectra" in kw:
-            kw["spectra"] = {int(c): ClassSpectrum(**_field_values(ClassSpectrum, s))
+        if isinstance(kw.get("spectra"), dict):
+            kw["spectra"] = {int(c) if isinstance(c, str) and c.isdecimal() else c:
+                             ClassSpectrum(**_field_values(ClassSpectrum, s))
                              for c, s in kw["spectra"].items()}
         return cls(**kw)
 
@@ -92,60 +122,76 @@ def _field_values(cls, doc: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 
-def _stamp_ellipses(labels, agl, rng, target_fraction, cls, radii, heights):
-    """Stamp random ellipses of class `cls` onto ground pixels until the
-    class holds `target_fraction` of the scene (or a shape budget runs out)."""
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_numbers(record, name: str, n: int | None = None):
+    """The field `name` of `record`, checked to be a finite number or, given
+    `n`, a list or tuple of `n` finite numbers; a ValueError names the field
+    otherwise."""
+    value = getattr(record, name)
+    items = (value,) if n is None else value
+    if not ((n is None or isinstance(value, (tuple, list)) and len(value) == n)
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in items)):
+        want = "a finite number" if n is None else f"{n} finite numbers"
+        raise ValueError(f"{type(record).__name__}.{name} must be {want}, not {value!r}")
+    return value
+
+
+def _ellipse(rng, h, w, radii):
+    """A random ellipse centred in the scene: its bounding box, padded by a
+    pixel against rounding, and its mask within the box."""
+    cy = rng.uniform(0, h)
+    cx = rng.uniform(0, w)
+    ry = rng.uniform(*radii)
+    rx = rng.uniform(*radii)
+    box = (slice(max(0, int(cy - ry) - 1), min(h, int(cy + ry) + 2)),
+           slice(max(0, int(cx - rx) - 1), min(w, int(cx + rx) + 2)))
+    ys, xs = np.ogrid[box]
+    return box, ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
+
+
+def _rectangle(rng, h, w, sides):
+    """A random rectangle that starts inside the scene and fills its box."""
+    rh = int(rng.integers(sides[0], sides[1] + 1))
+    rw = int(rng.integers(sides[0], sides[1] + 1))
+    y0 = int(rng.integers(0, max(1, h - rh)))
+    x0 = int(rng.integers(0, max(1, w - rw)))
+    return (slice(y0, y0 + rh), slice(x0, x0 + rw)), True
+
+
+def _stamp(labels, agl, rng, target_fraction, cls, draw, size, heights):
+    """Stamp shapes from `draw` of class `cls`, which holds no pixel yet,
+    onto ground pixels until the class holds `target_fraction` of the scene
+    (or a shape budget runs out). A shape's height, if the class has
+    heights, is drawn after the shape. Returns the pixels placed."""
     h, w = labels.shape
     goal = int(round(target_fraction * h * w))
-    placed = int((labels == cls).sum())
+    placed = 0
     for _ in range(4000):
         if placed >= goal:
-            return placed
-        cy = rng.uniform(0, h)
-        cx = rng.uniform(0, w)
-        ry = rng.uniform(*radii)
-        rx = rng.uniform(*radii)
-        height = rng.uniform(*heights) if heights else 0.0
-        # the ellipse's bounding box, padded by a pixel against rounding
-        box = (slice(max(0, int(cy - ry) - 1), min(h, int(cy + ry) + 2)),
-               slice(max(0, int(cx - rx) - 1), min(w, int(cx + rx) + 2)))
-        ys, xs = np.ogrid[box]
-        shape = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
-        shape &= labels[box] == LABEL_GROUND
-        labels[box][shape] = cls
+            break
+        box, shape = draw(rng, h, w, size)
+        free = (labels[box] == LABEL_GROUND) & shape
+        labels[box][free] = cls
         if heights:
-            agl[box][shape] = np.float32(height)
-        placed += int(shape.sum())
-    return placed
-
-
-def _stamp_rectangles(labels, agl, rng, target_fraction, cls, sides, heights):
-    h, w = labels.shape
-    goal = int(round(target_fraction * h * w))
-    placed = int((labels == cls).sum())
-    for _ in range(4000):
-        if placed >= goal:
-            return placed
-        rh = int(rng.integers(sides[0], sides[1] + 1))
-        rw = int(rng.integers(sides[0], sides[1] + 1))
-        y0 = int(rng.integers(0, max(1, h - rh)))
-        x0 = int(rng.integers(0, max(1, w - rw)))
-        height = rng.uniform(*heights)
-        block = labels[y0:y0 + rh, x0:x0 + rw]
-        free = block == LABEL_GROUND
-        block[free] = cls
-        agl[y0:y0 + rh, x0:x0 + rw][free] = np.float32(height)
+            agl[box][free] = np.float32(rng.uniform(*heights))
         placed += int(free.sum())
     return placed
 
 
-def _box3(img: np.ndarray) -> np.ndarray:
+def _box3(img: np.ndarray) -> None:
+    """Replace each pixel of the float64 (bands, h, w) `img` by the mean of
+    its 3x3 neighbourhood, edges repeated, summing the nine terms in order."""
+    h, w = img.shape[1:]
     padded = np.pad(img, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    out = np.zeros_like(img, dtype=np.float64)
+    img[...] = 0.0
     for dy in (0, 1, 2):
         for dx in (0, 1, 2):
-            out += padded[:, dy:dy + img.shape[1], dx:dx + img.shape[2]]
-    return out / 9.0
+            img += padded[:, dy:dy + h, dx:dx + w]
+    img /= 9.0
 
 
 def generate_scene(spec: DomainSpec, scene_index: int
@@ -156,10 +202,11 @@ def generate_scene(spec: DomainSpec, scene_index: int
     (seed, scene_index), so changing gain/bias or spectra never changes
     the label map.
 
-    Memory grows with the scene: float64 (4, h, w) means, noise and
-    reflectance peak at about 185 bytes per pixel above the importing
-    process (measured with ru_maxrss: 196 MB for 1024², 771 MB for 2048²),
-    so about 3.1 GB for 4096².
+    Memory grows with the scene: the radiometry works in place on one
+    float64 (4, h, w) reflectance, beside one noise array or the padded copy
+    of the 3x3 smoothing. It peaks at about 90 bytes per pixel above the
+    importing process (measured with ru_maxrss: 88 MB for 1024², 348 MB for
+    2048²), so about 1.5 GB for 4096².
     """
     h, w = spec.height, spec.width
     rng_layout = np.random.default_rng([spec.seed, scene_index, 0])
@@ -172,42 +219,35 @@ def generate_scene(spec: DomainSpec, scene_index: int
     side = float(np.sqrt(h * w))
     cap_e = max(4.0, min(40.0, 0.08 * side))
     cap_r = max(4, min(40, int(0.14 * side)))
-    got_water = _stamp_ellipses(labels, agl, rng_layout, spec.water_fraction,
-                                LABEL_WATER, (cap_e / 4, cap_e), None)
-    got_tree = _stamp_ellipses(labels, agl, rng_layout, spec.tree_fraction,
-                               LABEL_TREE, (max(2.0, cap_e / 8), cap_e * 0.625),
-                               spec.canopy_height_range)
-    got_bldg = _stamp_rectangles(labels, agl, rng_layout, spec.building_fraction,
-                                 LABEL_BUILDING, (max(4, cap_r // 4), cap_r),
-                                 spec.building_height_range)
-    total = h * w
-    for name, got, want in (("water", got_water, spec.water_fraction),
-                            ("tree", got_tree, spec.tree_fraction),
-                            ("building", got_bldg, spec.building_fraction)):
-        if abs(got / total - want) > 0.03:
-            warnings.warn(f"{name} fraction {got / total:.3f} missed the "
+    for name, cls, want, draw, size, heights in (
+            ("water", LABEL_WATER, spec.water_fraction, _ellipse,
+             (cap_e / 4, cap_e), None),
+            ("tree", LABEL_TREE, spec.tree_fraction, _ellipse,
+             (max(2.0, cap_e / 8), cap_e * 0.625), spec.canopy_height_range),
+            ("building", LABEL_BUILDING, spec.building_fraction, _rectangle,
+             (max(4, cap_r // 4), cap_r), spec.building_height_range)):
+        got = _stamp(labels, agl, rng_layout, want, cls, draw, size, heights) / (h * w)
+        if abs(got - want) > 0.03:
+            warnings.warn(f"{name} fraction {got:.3f} missed the "
                           f"target {want:.3f} by more than 3%")
 
-    means = np.zeros((4, h, w), dtype=np.float64)
-    sigma = np.zeros((h, w), dtype=np.float64)
-    texture = np.zeros((h, w), dtype=np.float64)
+    # per label code: the four band means, sigma, texture
+    table = np.zeros((6, 256))
     for cls, spectrum in spec.spectra.items():
-        sel = labels == cls
-        for b in range(4):
-            means[b][sel] = spectrum.mean[b]
-        sigma[sel] = spectrum.sigma
-        texture[sel] = spectrum.texture
-
-    refl = means.copy()
-    if np.any(sigma > 0):
-        refl += rng_noise.normal(size=(4, h, w)) * sigma[None]
-    if np.any(texture > 0):
-        refl += (rng_noise.normal(size=(h, w)) * texture)[None]
-    gain = np.asarray(spec.gain, dtype=np.float64)[:, None, None]
-    bias = np.asarray(spec.bias, dtype=np.float64)[:, None, None]
-    refl = np.clip(refl * gain + bias, 0.0, 1.0)
+        table[:, cls] = (*spectrum.mean, spectrum.sigma, spectrum.texture)
+    refl = np.take(table[:4], labels, axis=1)
+    # per-band noise scaled by sigma, then one texture noise for all bands
+    for row, noise_shape in ((4, (4, h, w)), (5, (h, w))):
+        scale = table[row, labels]
+        if np.any(scale > 0):
+            noise = rng_noise.normal(size=noise_shape)
+            noise *= scale
+            refl += noise
+    refl *= np.asarray(spec.gain, dtype=np.float64)[:, None, None]
+    refl += np.asarray(spec.bias, dtype=np.float64)[:, None, None]
+    np.clip(refl, 0.0, 1.0, out=refl)
     if spec.psf:
-        refl = _box3(refl)
+        _box3(refl)
 
     rgbn = MultibandRaster(refl.astype(np.float32), RGBN_ROLES,
                            gsd=spec.gsd, normalized=True)

@@ -72,6 +72,40 @@ def test_synth_generate_rejects_unknown_spec_key(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("spec,field", [
+    ({"width": "64"}, "width"),
+    ({"width": 64.5}, "width"),
+    ({"seed": True}, "seed"),
+    ({"spectra": [1]}, "spectra"),
+    ({"spectra": {"7": {"mean": [0.1, 0.2, 0.1, 0.6]}}}, "spectra"),
+    ({"spectra": {"1": {"mean": [0.1, 0.2]}}}, "mean"),
+    ({"spectra": {"1": {"mean": [0.1, 0.2, 0.1, 0.6], "sigma": "0.1"}}}, "sigma"),
+    ({"gain": [1, 1]}, "gain"),
+    ({"bias": [0, 0, 0, None]}, "bias"),
+    ({"tree_fraction": "0.2"}, "tree_fraction"),
+    ({"building_height_range": [5]}, "building_height_range"),
+    ({"canopy_height_range": [8, 3]}, "canopy_height_range"),
+    ({"psf": "no"}, "psf"),
+], ids=["width-str", "width-float", "seed-bool", "spectra-list", "spectra-key-7",
+        "mean-2", "sigma-str", "gain-2", "bias-null", "tree_fraction-str",
+        "building_height_range-1", "canopy_height_range-reversed", "psf-str"])
+def test_synth_generate_rejects_mistyped_spec_value(tmp_path, capsys, spec, field):
+    """A spec file is outside input: a value of the wrong type, length or
+    order exits 1 with an error that names its field."""
+    (tmp_path / "spec.json").write_text(json.dumps({"width": 32, "height": 32, **spec}))
+    out = tmp_path / "domain"
+    assert main(["synth", "generate", "--spec", str(tmp_path / "spec.json"),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_synth_generate_needs_a_scene(tmp_path, capsys):
+    assert main(["synth", "generate", "--scenes", "0", "--out-dir", str(tmp_path / "d")]) == 1
+    assert "need at least one scene" in capsys.readouterr().err
+
+
 def test_normalize_command(tmp_path):
     rng = np.random.default_rng(3)
     data = rng.integers(0, 60000, (4, 16, 16)).astype(np.uint16)
