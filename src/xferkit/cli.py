@@ -118,7 +118,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_reports(paths) -> list[transfer.TransferReport]:
-    return [transfer.TransferReport.from_dict(json.loads(Path(p).read_text()))
+    return [xras.read_record(transfer.TransferReport, json.loads(Path(p).read_text()))
             for p in paths]
 
 
@@ -241,7 +241,7 @@ def cmd_rf_predict(args) -> int:
 
 def cmd_synth_generate(args) -> int:
     if args.spec:
-        spec = synthmod.DomainSpec.from_dict(json.loads(Path(args.spec).read_text()))
+        spec = xras.read_record(synthmod.DomainSpec, json.loads(Path(args.spec).read_text()))
     else:
         spec = synthmod.DomainSpec()
     if args.scenes < 1:

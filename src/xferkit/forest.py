@@ -376,18 +376,18 @@ _NODE_LEAF = struct.Struct("<B4Q")
 
 
 def _emit_tree(tree: Tree, out: bytearray) -> None:
+    """The tree's nodes in pre-order, from an explicit stack, so a tree of
+    any depth is written."""
     out.extend(struct.pack("<I", tree.n_nodes))
-
-    def emit(node: int) -> None:
+    stack = [0]
+    while stack:
+        node = stack.pop()
         f = int(tree.feature[node])
         if f < 0:
             out.extend(_NODE_LEAF.pack(1, *(int(c) for c in tree.counts[node])))
-            return
+            continue
         out.extend(_NODE_INTERNAL.pack(0, f, float(tree.threshold[node])))
-        emit(int(tree.left[node]))
-        emit(int(tree.right[node]))
-
-    emit(0)
+        stack += (int(tree.right[node]), int(tree.left[node]))
 
 
 def save_forest(forest: Forest, path: str | Path | None = None) -> bytes:
@@ -424,38 +424,34 @@ def load_forest(src: str | Path | bytes) -> Forest:
         left = np.full(n_nodes, -1, dtype=np.int32)
         right = np.full(n_nodes, -1, dtype=np.int32)
         counts = np.zeros((n_nodes, N_CLASSES), dtype=np.int64)
+        # Nodes come in pre-order: a node's left child is the next node, and
+        # its right child follows the left subtree. The stack holds the child
+        # slots still to fill, (parent, left or right), the next one on top.
+        slots: list[tuple[int, np.ndarray | None]] = [(-1, None)]
         next_id = 0
-
-        def read_node() -> int:
-            nonlocal pos, next_id
+        while slots:
+            parent, side = slots.pop()
             if pos >= len(buf):
                 raise ValueError("corrupt file: truncated node stream")
             node = next_id
             next_id += 1
             if node >= n_nodes:
                 raise ValueError("corrupt file: more nodes than declared")
+            if side is not None:
+                side[parent] = node
             kind = buf[pos]
             try:
                 if kind == 0:
-                    _, f, thr = _NODE_INTERNAL.unpack_from(buf, pos)
+                    _, feature[node], threshold[node] = _NODE_INTERNAL.unpack_from(buf, pos)
                     pos += _NODE_INTERNAL.size
+                    slots += ((node, right), (node, left))
                 elif kind == 1:
-                    rec = _NODE_LEAF.unpack_from(buf, pos)
+                    counts[node] = _NODE_LEAF.unpack_from(buf, pos)[1:]
                     pos += _NODE_LEAF.size
                 else:
                     raise ValueError("corrupt file: unknown node kind")
             except struct.error:
                 raise ValueError("corrupt file: truncated node stream") from None
-            if kind == 0:
-                feature[node] = f
-                threshold[node] = thr
-                left[node] = read_node()
-                right[node] = read_node()
-            else:
-                counts[node] = rec[1:]
-            return node
-
-        read_node()
         if next_id != n_nodes:
             raise ValueError("corrupt file: node count mismatch")
         trees.append(Tree(feature, threshold, left, right, counts))

@@ -263,8 +263,14 @@ class ClassLookup:
 
     @classmethod
     def from_json(cls, text: str) -> "ClassLookup":
+        """A lookup as `to_json` writes it; anything else raises ValueError."""
         doc = json.loads(text)
-        return cls(doc["map"])
+        entries = doc.get("map") if isinstance(doc, dict) and len(doc) == 1 else None
+        if not (isinstance(entries, dict) and all(
+                k.isdecimal() and type(v) is int for k, v in entries.items())):
+            raise ValueError('a lookup must be {"map": {"<decimal code>": '
+                             '<integer code>, ...}}')
+        return cls(entries)
 
     def to_json(self) -> str:
         body = ", ".join(f'"{k}": {v}' for k, v in sorted(self.entries.items()))

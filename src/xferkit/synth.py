@@ -10,10 +10,8 @@ rule.
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,9 +28,10 @@ class ClassSpectrum:
     texture: float = 0.02
 
     def __post_init__(self):
-        _check_numbers(self, "mean", 4)
-        _check_numbers(self, "sigma")
-        _check_numbers(self, "texture")
+        for name in ("sigma", "texture"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"ClassSpectrum.{name} must be >= 0, "
+                                 f"not {getattr(self, name)!r}")
 
 
 def _default_spectra() -> dict[int, ClassSpectrum]:
@@ -63,26 +62,13 @@ class DomainSpec:
     gsd: float = 0.31
 
     def __post_init__(self):
-        for name in ("width", "height", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"DomainSpec.{name} must be an integer, "
-                                 f"not {getattr(self, name)!r}")
-        for name in ("tree_fraction", "water_fraction", "building_fraction", "gsd"):
-            _check_numbers(self, name)
-        for name in ("gain", "bias"):
-            _check_numbers(self, name, 4)
         for name in ("building_height_range", "canopy_height_range"):
-            lo, hi = _check_numbers(self, name, 2)
+            lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"DomainSpec.{name} must have lo <= hi, "
                                  f"not {getattr(self, name)!r}")
-        if not isinstance(self.psf, (bool, np.bool_)):
-            raise ValueError(f"DomainSpec.psf must be true or false, not {self.psf!r}")
-        if not isinstance(self.spectra, dict):
-            raise ValueError(f"DomainSpec.spectra must map class codes to "
-                             f"spectra, not {self.spectra!r}")
         for c in self.spectra:
-            if not (_is_int(c) and 0 <= c < N_CLASSES):
+            if not 0 <= c < N_CLASSES:
                 raise ValueError(f"DomainSpec.spectra keys must be class codes "
                                  f"0-{N_CLASSES - 1}, not {c!r}")
         fracs = (self.tree_fraction, self.water_fraction, self.building_fraction)
@@ -92,52 +78,6 @@ class DomainSpec:
             raise ValueError("scenes must be at least 32x32")
         if sum(fracs) > 0.85:
             raise ValueError("fractions above 0.85 cannot be laid out reliably")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DomainSpec":
-        """A spec as `canonical_json` writes it, or a part of one: lists
-        become tuples, `spectra` keys become ints, and omitted fields take
-        their defaults. A key that names no field raises ValueError."""
-        kw = _field_values(cls, doc)
-        if isinstance(kw.get("spectra"), dict):
-            kw["spectra"] = {int(c) if isinstance(c, str) and c.isdecimal() else c:
-                             ClassSpectrum(**_field_values(ClassSpectrum, s))
-                             for c, s in kw["spectra"].items()}
-        return cls(**kw)
-
-
-def _field_values(cls, doc: dict) -> dict:
-    """`doc` as keyword arguments of the dataclass `cls`, lists as tuples.
-    `doc` is input from outside the program, so it is checked against the
-    fields first."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, not {doc!r}")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
-    missing = [f.name for f in fields(cls) if f.name not in doc
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ValueError(f"missing {cls.__name__} keys: {missing}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_numbers(record, name: str, n: int | None = None):
-    """The field `name` of `record`, checked to be a finite number or, given
-    `n`, a list or tuple of `n` finite numbers; a ValueError names the field
-    otherwise."""
-    value = getattr(record, name)
-    items = (value,) if n is None else value
-    if not ((n is None or isinstance(value, (tuple, list)) and len(value) == n)
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in items)):
-        want = "a finite number" if n is None else f"{n} finite numbers"
-        raise ValueError(f"{type(record).__name__}.{name} must be {want}, not {value!r}")
-    return value
 
 
 def _ellipse(rng, h, w, radii):

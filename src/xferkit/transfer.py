@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import operator
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import reduce
 from typing import Mapping, NamedTuple, Sequence
@@ -96,19 +96,6 @@ class TransferReport:
     gt_per_class_iou: tuple[float | None, ...] | None = None
     per_scene_index_miou: tuple[float, ...] | None = None
     per_scene_gt_miou: tuple[float, ...] | None = None
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TransferReport":
-        """A report as `canonical_json` wrote it; a missing required key
-        raises KeyError."""
-        kw = {f.name: doc[f.name] for f in fields(cls)
-              if f.name in doc or f.default is MISSING}
-        for name, value in kw.items():
-            if name == "thresholds":
-                kw[name] = tuple(idx.ThresholdSet(**t) for t in value)
-            elif isinstance(value, list):
-                kw[name] = tuple(value)
-        return cls(**kw)
 
 
 @dataclass
@@ -229,9 +216,9 @@ def rank_models(reports: Sequence[TransferReport],
     """Descending ranking of models on one domain.
 
     Equal scores share the lower rank and order by model id. Scores are
-    compared as given: reports read from files (`TransferReport.from_dict`)
-    carry the 6 significant digits that `canonical_json` writes, so scores
-    that agree to 6 digits tie there, while reports held in memory compare
+    compared as given: reports read from files (`xras.read_record`) carry
+    the 6 significant digits that `canonical_json` writes, so scores that
+    agree to 6 digits tie there, while reports held in memory compare
     unrounded. `by` selects index_miou or confidence. Each model may
     appear once.
     """

@@ -24,15 +24,27 @@ Records (reports, manifests, specs) are written by one rule,
 not None; dict keys become strings, and two keys that stringify alike are
 an error; object keys are sorted; tuples are lists; floats keep 6
 significant digits.
+
+They are read back by its inverse, `read_record`, by the annotations of
+the dataclass's fields: an object becomes the dataclass, omitted fields
+taking their defaults, or a `dict[int, ...]` with decimal keys; a list
+becomes a tuple of the annotated length; `int` and `float` (finite) refuse
+bools, `str` and `bool` match exactly, and null fits only `X | None`.
+Anything else, an unknown or a missing key too, is a ValueError that
+names the field.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import struct
-from dataclasses import fields, is_dataclass
+import sys
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -173,6 +185,64 @@ def _canon_value(obj: Any) -> str:
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON by the record rule of the module docstring."""
     return _canon_value(obj)
+
+
+def read_record(cls: type, doc: Any) -> Any:
+    """The dataclass `cls` from `doc`, a parsed JSON value, by the reading
+    rule of the module docstring: the inverse of `canonical_json`."""
+    return _read(cls, doc, cls.__name__)
+
+
+@functools.cache
+def _record_fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, type, required) of each field of `cls` that `__init__` takes."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name],
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls) if f.init)
+
+
+_SCALARS = {int: "an integer", float: "a finite number", str: "a string",
+            bool: "true or false"}
+
+
+def _read(tp: Any, value: Any, where: str) -> Any:
+    """`value` read as the type `tp`; `where` names it in errors."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:                   # X | None
+        [inner] = [a for a in args if a is not type(None)]
+        return None if value is None else _read(inner, value, where)
+    if tp in _SCALARS:
+        # type(), not isinstance(): a bool is no int; NaN, inf and 10**400 fail the bound
+        fits = type(value) is tp or tp is float and type(value) is int
+        if fits and (tp is not float or abs(value) <= sys.float_info.max):
+            return value
+        raise ValueError(f"{where} must be {_SCALARS[tp]}, not {value!r}")
+    container = list if origin is tuple else dict
+    if not isinstance(value, container):
+        kind = "list" if container is list else "object"
+        raise ValueError(f"{where} must be a JSON {kind}, not {value!r}")
+    if origin is tuple:
+        items = args[:1] * len(value) if args[-1:] == (...,) else args
+        if len(value) != len(items):
+            raise ValueError(f"{where} must hold {len(items)} items, not {value!r}")
+        return tuple(_read(t, v, f"{where}[{i}]")
+                     for i, (t, v) in enumerate(zip(items, value)))
+    if origin is dict:                              # dict[int, ...]
+        bad = [k for k in value if not k.isdecimal()]
+        if bad:
+            raise ValueError(f"{where} keys must be decimal integers, not {bad}")
+        return {int(k): _read(args[1], v, f"{where}[{k}]") for k, v in value.items()}
+    spec = _record_fields(tp)
+    at = "" if where == tp.__name__ else f" at {where}"
+    unknown = sorted(set(value) - {name for name, _, _ in spec})
+    if unknown:
+        raise ValueError(f"unknown {tp.__name__} keys: {unknown}{at}")
+    missing = [name for name, _, required in spec if required and name not in value]
+    if missing:
+        raise ValueError(f"missing {tp.__name__} keys: {missing}{at}")
+    return tp(**{name: _read(t, value[name], f"{tp.__name__}.{name}")
+                 for name, t, _ in spec if name in value})
 
 
 def write_report(report: Any, path: str | Path) -> None:

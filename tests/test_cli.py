@@ -10,6 +10,7 @@ import xferkit
 from xferkit import _kernels, _parallel, synth, transfer, xras
 from xferkit import forest as rf
 from xferkit.cli import build_parser, main
+from xferkit.indices import ThresholdSet
 from xferkit.raster import BandRole, LabelMap, MultibandRaster, ProbabilityMap
 
 COMMANDS = sorted(build_parser()[1])
@@ -86,12 +87,15 @@ def test_synth_generate_rejects_unknown_spec_key(tmp_path, capsys):
     ({"building_height_range": [5]}, "building_height_range"),
     ({"canopy_height_range": [8, 3]}, "canopy_height_range"),
     ({"psf": "no"}, "psf"),
+    ({"spectra": {"1": {"mean": [0.1, 0.2, 0.1, 0.6], "sigma": -0.02}}}, "sigma"),
+    ({"spectra": {"1": {"mean": [0.1, 0.2, 0.1, 0.6], "texture": -0.02}}}, "texture"),
 ], ids=["width-str", "width-float", "seed-bool", "spectra-list", "spectra-key-7",
         "mean-2", "sigma-str", "gain-2", "bias-null", "tree_fraction-str",
-        "building_height_range-1", "canopy_height_range-reversed", "psf-str"])
+        "building_height_range-1", "canopy_height_range-reversed", "psf-str",
+        "sigma-negative", "texture-negative"])
 def test_synth_generate_rejects_mistyped_spec_value(tmp_path, capsys, spec, field):
-    """A spec file is outside input: a value of the wrong type, length or
-    order exits 1 with an error that names its field."""
+    """A spec file is outside input: a value of the wrong type, length,
+    order or sign exits 1 with an error that names its field."""
     (tmp_path / "spec.json").write_text(json.dumps({"width": 32, "height": 32, **spec}))
     out = tmp_path / "domain"
     assert main(["synth", "generate", "--spec", str(tmp_path / "spec.json"),
@@ -248,6 +252,21 @@ def test_remap_command(tmp_path):
                  "--out", str(out)]) == 0
     np.testing.assert_array_equal(xras.read_label_map(out).codes,
                                   [[0, 1, 2], [3, 255, 255]])
+
+
+@pytest.mark.parametrize("lookup", [
+    "[]", '{"map": [1]}', '{"map": {"0": 1.5}}', '{"map": {"0": true}}',
+], ids=["list", "map-list", "code-float", "code-bool"])
+def test_remap_rejects_malformed_lookup(tmp_path, capsys, lookup):
+    raw_path = tmp_path / "raw.xras"
+    xras.write_xras(MultibandRaster(np.zeros((1, 2, 3), dtype=np.uint8),
+                                    (BandRole.OTHER,)), raw_path)
+    (tmp_path / "lookup.json").write_text(lookup)
+    out = tmp_path / "remapped.xras"
+    assert main(["remap", "--labels", str(raw_path), "--lookup",
+                 str(tmp_path / "lookup.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith('error: a lookup must be {"map"')
+    assert not out.exists()
 
 
 def test_evaluate_command(domain_dir, tmp_path):
@@ -493,6 +512,37 @@ def test_rank_ties_at_written_precision(tmp_path):
                  "--out", str(rank_csv)]) == 0
     assert rank_csv.read_text().splitlines() == [
         "rank,model_id,score", "1,a,0.7", "1,b,0.7"]
+
+
+@pytest.mark.parametrize("command", ["rank", "correlate"])
+@pytest.mark.parametrize("malform,field", [
+    (lambda doc: [], "TransferReport"),
+    (lambda doc: {**doc, "thresholds": [{"t_ndvi": 0.2, "t_ndwi": 0.1, "t_ndbi": 0.3}]},
+     "thresholds"),
+    (lambda doc: {**doc, "index_miou": "0.5"}, "index_miou"),
+    (lambda doc: {**doc, "thresholds": [5]}, "thresholds"),
+], ids=["list", "threshold-key", "index_miou-str", "thresholds-int"])
+def test_reports_command_rejects_malformed_report(tmp_path, capsys, command,
+                                                  malform, field):
+    """A report file is outside input: one that does not fit
+    `TransferReport` exits 1 with an error that names its field."""
+    paths = []
+    for model_id, score in (("a", 0.5), ("b", 0.75)):
+        report = transfer.TransferReport(
+            model_id=model_id, domain_id="d", index_miou=score,
+            index_miou_strict=score, index_per_class_iou=(score, None, None, None),
+            thresholds=(ThresholdSet(0.2, 0.1),), valid_pixels=10,
+            config_digest="x", timestamp="t", mean_confidence=score, gt_miou=score)
+        paths.append(tmp_path / f"{model_id}.json")
+        xras.write_report(report, paths[-1])
+    out = tmp_path / "out.csv"
+    assert main([command, "--reports", *map(str, paths), "--out", str(out)]) == 0
+    out.unlink()
+    paths[-1].write_text(json.dumps(malform(json.loads(paths[-1].read_text()))))
+    assert main([command, "--reports", *map(str, paths), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not out.exists()
 
 
 def test_assess_rejects_misregistered_probs(domain_dir, tmp_path, capsys):

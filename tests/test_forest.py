@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 import sys
 
 import numpy as np
@@ -395,6 +396,20 @@ class TestSerialization:
             rf.load_forest(b"YYYY" + blob[4:])
         with pytest.raises(ValueError, match="corrupt file"):
             rf.load_forest(blob[:-4])
+
+    def test_deep_chain_loads_and_saves_byte_for_byte(self):
+        """A valid tree 1,500 internal nodes deep, deeper than Python's
+        recursion limit: each internal node's left child is a leaf and its
+        right child the next internal node."""
+        depth = 1500
+        leaf = struct.pack("<B4Q", 1, 1, 2, 3, 4)
+        nodes = b"".join(struct.pack("<BHd", 0, i % 3, i / depth) + leaf
+                         for i in range(depth)) + leaf
+        blob = (struct.pack("<4sHHIH", b"XRFC", 1, 3, 1, 4)
+                + struct.pack("<I", 2 * depth + 1) + nodes)
+        loaded = rf.load_forest(blob)
+        assert loaded.trees[0].n_nodes == 2 * depth + 1
+        assert rf.save_forest(loaded) == blob
 
     def test_json_dump_parses(self):
         import json

@@ -109,7 +109,7 @@ def test_spec_validation():
 
 def test_spec_dict_roundtrip():
     spec = small_spec(gain=(0.9, 0.9, 0.9, 0.9))
-    again = synth.DomainSpec.from_dict(json.loads(xras.canonical_json(spec)))
+    again = xras.read_record(synth.DomainSpec, json.loads(xras.canonical_json(spec)))
     assert again == spec
 
 
@@ -122,7 +122,7 @@ def test_spec_dict_roundtrip():
 def test_spec_dict_rejects_unknown_and_missing_keys(doc, message):
     """A spec read from a file names every key it cannot place."""
     with pytest.raises(ValueError, match=message):
-        synth.DomainSpec.from_dict(doc)
+        xras.read_record(synth.DomainSpec, doc)
 
 
 SCENE_SHA256 = {

@@ -97,7 +97,7 @@ class TestAssess:
         assert "gt_miou" not in bare_doc
         assert "mean_confidence" not in bare_doc
         assert "gt_miou" in rich_doc
-        roundtrip = transfer.TransferReport.from_dict(rich_doc)
+        roundtrip = xras.read_record(transfer.TransferReport, rich_doc)
         assert roundtrip.gt_miou == pytest.approx(rich.gt_miou, abs=1e-6)
 
     def test_multi_scene_pooling(self, scene):

@@ -1,5 +1,6 @@
 """XRAS container and canonical serialization tests."""
 
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from xferkit import xras
+from xferkit.indices import ThresholdSet
 from xferkit.raster import BandRole, Dtype, LabelMap, MultibandRaster, ProbabilityMap
+from xferkit.synth import ClassSpectrum, DomainSpec
+from xferkit.transfer import TransferReport
 
 
 def _raster(dtype, shape=(2, 3, 4), **kw):
@@ -200,6 +204,51 @@ def test_canonical_json_writes_dataclass_fields_that_are_not_none():
 def test_canonical_json_rejects_non_finite():
     with pytest.raises(ValueError):
         xras.canonical_json({"x": float("inf")})
+
+
+RECORDS = {
+    "report-bare": TransferReport("m", "d", 0.5, 0.25, (0.5, None, 0.75, 0.0),
+                                  (), 0, "ab", "t0"),
+    "report-rich": TransferReport(
+        "m", "d", 0.875, 0.625, (1.0, None, 0.5, 0.125),
+        (ThresholdSet(0.25, 0.125), ThresholdSet(0.5, 0.0625, 5.5, "manual")),
+        4096, "ab", "t0", mean_confidence=0.75, gt_miou=0.5, gt_miou_strict=0.25,
+        gt_per_class_iou=(0.5, None, None, 0.0), per_scene_index_miou=(1.0, 0.75),
+        per_scene_gt_miou=(0.5, 0.5)),
+    "spec-partial-spectra": DomainSpec(
+        width=48, height=40, seed=3, psf=False, gain=(0.9, 1.0, 1.1, 1.25),
+        spectra={1: ClassSpectrum((0.1, 0.5, 0.25, 0.75), 0.0, 0.125),
+                 3: ClassSpectrum((0.05, 0.1, 0.2, 0.0))}),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_read_record_inverts_canonical_json(name):
+    record = RECORDS[name]
+    assert xras.read_record(type(record), json.loads(xras.canonical_json(record))) == record
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"width": true}', "DomainSpec.width"),
+    ('{"gsd": false}', "DomainSpec.gsd"),
+    ('{"gsd": NaN}', "DomainSpec.gsd"),
+    ('{"gsd": Infinity}', "DomainSpec.gsd"),
+    ('{"building_height_range": [1, -Infinity]}', r"DomainSpec.building_height_range\[1\]"),
+    ('{"gsd": 1%s}' % ("0" * 400), "DomainSpec.gsd"),
+    ('{"gain": [1, 1, 1]}', "DomainSpec.gain"),
+    ('{"gain": [1, 1, 1, 1, 1]}', "DomainSpec.gain"),
+    ('{"spectra": {"one": {"mean": [0, 0, 0, 0]}}}', "DomainSpec.spectra keys"),
+    ('{"spectra": {"-1": {"mean": [0, 0, 0, 0]}}}', "DomainSpec.spectra keys"),
+    ('{"spectra": {"1": {"mean": [0, 0, 0, 0], "texture": null}}}',
+     "ClassSpectrum.texture"),
+], ids=["int-bool", "float-bool", "float-nan", "float-inf", "float-neg-inf",
+        "float-huge-int", "tuple-short", "tuple-long", "key-word", "key-negative",
+        "float-null"])
+def test_read_record_refuses_what_does_not_fit(text, field):
+    """json.loads accepts NaN, Infinity and integers beyond float range, and
+    a bool is an int to Python; none fits an int or float field."""
+    with pytest.raises(ValueError, match=field):
+        xras.read_record(DomainSpec, json.loads(text))
 
 
 def test_write_report_byte_stable(tmp_path):
