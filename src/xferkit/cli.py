@@ -4,7 +4,9 @@ Every long option can also be supplied through a JSON config file passed
 as --config: keys are the option names with dashes replaced by
 underscores, either flat or nested under the command name (e.g.
 {"assess": {"se_size": 63}}). Explicit flags override the file, and
-required options must still be given as flags.
+required options must still be given as flags. A value of the wrong type
+for its option is an error. A --height raster is read as DSM or AGL by its
+band role; --height-kind, when given, must agree with the role.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,19 +24,24 @@ from . import forest as rf
 from . import synth as synthmod
 from . import transfer, xras
 from .raster import (ClassLookup, MultibandRaster, Window,
-                     compute_truncation_bounds, extract_patch,
+                     compute_truncation_bounds, extract_patch, height_role,
                      merge_probability_patches, normalize_truncate,
                      parse_role, plan_tiles, remap_labels)
 
 
-def _read_height(args) -> MultibandRaster | None:
-    if not getattr(args, "height", None):
-        return None
-    return xras.read_xras(args.height)
-
-
-def _height_is_agl(args) -> bool:
-    return getattr(args, "height_kind", "dsm") == "agl"
+def _pseudo_truth_inputs(args) -> tuple[MultibandRaster | None, transfer.PseudoTruthConfig]:
+    """The --height raster, checked against --height-kind when that is given,
+    and a `PseudoTruthConfig` from the options that bear its field names."""
+    config = transfer.PseudoTruthConfig(**{f.name: getattr(args, f.name)
+                                           for f in fields(transfer.PseudoTruthConfig)})
+    if not args.height:
+        return None, config
+    height = xras.read_xras(args.height)
+    kind = height_role(height).name.lower()
+    if args.height_kind not in (None, kind):
+        raise ValueError(f"--height-kind {args.height_kind}, but {args.height} "
+                         f"is read as {kind.upper()}")
+    return height, config
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +67,7 @@ def cmd_normalize(args) -> int:
     report = {
         "lower_pct": args.lower,
         "upper_pct": args.upper,
-        "bounds": {role.name.lower(): {"lo": b.lo, "hi": b.hi,
-                                       "degenerate": b.degenerate}
-                   for role, b in bounds_by_role.items()},
+        "bounds": {role.name.lower(): b._asdict() for role, b in bounds_by_role.items()},
         "inputs": [Path(p).name for p in args.input],
     }
     xras.write_report(report, out_dir / "normalization.json")
@@ -77,11 +83,8 @@ def cmd_remap(args) -> int:
 
 def cmd_pseudolabel(args) -> int:
     raster = xras.read_xras(args.raster)
-    height = _read_height(args)
-    result = transfer.pseudo_labels(
-        raster, height, height_is_agl=_height_is_agl(args),
-        se_size=args.se_size, mbih_threshold=args.mbih_threshold,
-        otsu_bins=args.otsu_bins)
+    height, config = _pseudo_truth_inputs(args)
+    result = transfer.pseudo_labels(raster, height, config=config)
     xras.write_xras(result.labels, args.out)
     if args.report:
         doc = {
@@ -97,15 +100,13 @@ def cmd_pseudolabel(args) -> int:
 def cmd_assess(args) -> int:
     raster = xras.read_xras(args.raster)
     prediction = xras.read_label_map(args.pred)
-    height = _read_height(args)
+    height, config = _pseudo_truth_inputs(args)
     probs = xras.read_probability_map(args.probs) if args.probs else None
     gt = xras.read_label_map(args.gt) if args.gt else None
     report = transfer.assess(
         prediction, raster, height, model_id=args.model_id,
         domain_id=args.domain_id, probs=probs, gt=gt,
-        height_is_agl=_height_is_agl(args), se_size=args.se_size,
-        mbih_threshold=args.mbih_threshold, otsu_bins=args.otsu_bins,
-        timestamp=args.timestamp)
+        config=config, timestamp=args.timestamp)
     xras.write_report(report, args.out)
     return 0
 
@@ -131,15 +132,35 @@ def cmd_rank(args) -> int:
 
 def cmd_correlate(args) -> int:
     index_stats, conf_stats = transfer.correlate_predictors(_load_reports(args.reports))
-    rows = [
-        ("index_miou", index_stats.r, index_stats.r2, index_stats.slope,
-         index_stats.intercept, index_stats.n),
-        ("confidence", conf_stats.r, conf_stats.r2, conf_stats.slope,
-         conf_stats.intercept, conf_stats.n),
-    ]
-    xras.write_csv(args.out, ("predictor", "r", "r2", "slope", "intercept", "n"),
-                   rows)
+    rows = [(name, s.r, s.r2, s.slope, s.intercept, s.n)
+            for name, s in (("index_miou", index_stats), ("confidence", conf_stats))]
+    xras.write_csv(args.out, ("predictor", "r", "r2", "slope", "intercept", "n"), rows)
     return 0
+
+
+@dataclass(frozen=True)
+class TilePatch(Window):
+    file: str
+
+
+@dataclass(frozen=True)
+class TileManifest:
+    """`tiles.json`: what `tile` cut, one `TilePatch` per file, for `merge`."""
+
+    width: int
+    height: int
+    patch: int
+    overlap: float
+    stride: int
+    undersized: bool
+    windows: tuple[TilePatch, ...]
+
+
+# read_record names the field first; these fields keep merge's old error texts
+_MANIFEST_RULES = {**dict.fromkeys(("TileManifest.width", "TileManifest.height"),
+                                   "width and height must be integers >= 1"),
+                   **{f"TilePatch.{f.name}": "window fields must be integers"
+                      for f in fields(Window)}}
 
 
 def cmd_tile(args) -> int:
@@ -155,35 +176,26 @@ def cmd_tile(args) -> int:
             raster.band_roles, nodata=raster.nodata, gsd=raster.gsd,
             normalized=raster.normalized)
         xras.write_xras(patch, out_dir / name)
-        windows.append({"x": window.x, "y": window.y, "width": window.width,
-                        "height": window.height, "file": name})
-    manifest = {
-        "width": raster.width, "height": raster.height,
-        "patch": args.patch, "overlap": args.overlap, "stride": plan.stride,
-        "undersized": plan.undersized, "windows": windows,
-    }
+        windows.append(TilePatch(window.x, window.y, window.width, window.height, name))
+    manifest = TileManifest(raster.width, raster.height, args.patch, args.overlap,
+                            plan.stride, plan.undersized, tuple(windows))
     xras.write_report(manifest, out_dir / "tiles.json")
     return 0
 
 
 def cmd_merge(args) -> int:
-    manifest_path = Path(args.patches) / "tiles.json"
-    manifest = json.loads(manifest_path.read_text())
-    if not isinstance(manifest, dict) or not isinstance(manifest["windows"], list):
-        raise ValueError("manifest must be an object with a list of windows")
-    width, height = manifest["width"], manifest["height"]
-    if any(type(v) is not int or v < 1 for v in (width, height)):   # rejects bools too
+    try:
+        manifest = xras.read_record(
+            TileManifest, json.loads((Path(args.patches) / "tiles.json").read_text()))
+    except ValueError as exc:
+        rule = _MANIFEST_RULES.get(str(exc).partition(" ")[0])
+        raise ValueError(f"manifest {rule}: {exc}" if rule else f"manifest: {exc}") from None
+    if min(manifest.width, manifest.height) < 1:
         raise ValueError(f"manifest width and height must be integers >= 1: "
-                         f"{width!r}, {height!r}")
-    patches = []
-    for entry in manifest["windows"]:
-        if not isinstance(entry, dict) or not isinstance(entry["file"], str):
-            raise ValueError(f"manifest windows must be objects with a file name: {entry!r}")
-        window = Window(entry["x"], entry["y"], entry["width"], entry["height"])
-        if any(type(v) is not int for v in window):     # rejects bools and floats too
-            raise ValueError(f"manifest window fields must be integers: {entry}")
-        patches.append((window, xras.read_probability_map(Path(args.patches) / entry["file"])))
-    pmap, labels = merge_probability_patches(patches, width, height)
+                         f"{manifest.width}, {manifest.height}")
+    patches = [(w, xras.read_probability_map(Path(args.patches) / w.file))
+               for w in manifest.windows]
+    pmap, labels = merge_probability_patches(patches, manifest.width, manifest.height)
     xras.write_xras(pmap, args.out)
     if args.labels_out:
         xras.write_xras(labels, args.labels_out)
@@ -207,12 +219,9 @@ def cmd_rf_train(args) -> int:
         n_trees=args.trees, max_depth=args.max_depth,
         min_samples_leaf=args.min_leaf, min_samples_split=args.min_split,
         features_per_split=args.features_per_split, seed=args.seed)
-    stacks = []
-    labels = []
-    for i, raster_path in enumerate(args.raster):
-        height_path = args.height[i] if args.height else None
-        stacks.append(_scene_feature_stack(raster_path, height_path, params))
-        labels.append(xras.read_label_map(args.labels[i]))
+    stacks = [_scene_feature_stack(path, args.height[i] if args.height else None, params)
+              for i, path in enumerate(args.raster)]
+    labels = [xras.read_label_map(path) for path in args.labels]
     data = rf.sample_pixels(stacks, labels, args.samples, args.seed,
                             stratified=args.stratified)
     model = rf.rf_train(data, hp)
@@ -240,10 +249,8 @@ def cmd_rf_predict(args) -> int:
 
 
 def cmd_synth_generate(args) -> int:
-    if args.spec:
-        spec = xras.read_record(synthmod.DomainSpec, json.loads(Path(args.spec).read_text()))
-    else:
-        spec = synthmod.DomainSpec()
+    spec = (xras.read_record(synthmod.DomainSpec, json.loads(Path(args.spec).read_text()))
+            if args.spec else synthmod.DomainSpec())
     if args.scenes < 1:
         raise ValueError("need at least one scene")
     out_dir = Path(args.out_dir)
@@ -274,13 +281,10 @@ def cmd_info(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_config(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with default option values")
-
-
 def _add_height_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--height", help="height raster (XRAS, meters)")
-    p.add_argument("--height-kind", choices=("dsm", "agl"), default="dsm")
+    p.add_argument("--height-kind", choices=("dsm", "agl"),
+                   help="must match the --height raster's band role")
     p.add_argument("--se-size", type=int, default=63,
                    help="structuring element size for the DSM top-hat")
     p.add_argument("--mbih-threshold", type=float, default=2.0,
@@ -310,13 +314,15 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, d
         g = subs[""].add_parser(name, help=help_text, add_help=wanted(name))
         subs[name] = g.add_subparsers(dest=f"{name}_command", required=True)
 
-    def add(path: str, func, **kw) -> argparse.ArgumentParser | None:
-        """Register `path`; its parser if its arguments are wanted, else None."""
+    def add(path: str, func, config: bool = True, **kw) -> argparse.ArgumentParser | None:
+        """Register `path`; its parser, with --config if `config`, if wanted, else None."""
         where, _, name = path.rpartition(" ")
         p = registry[path] = subs[where].add_parser(name, add_help=wanted(path), **kw)
         if not wanted(path):
             return None
         p.set_defaults(func=func)
+        if config:
+            p.add_argument("--config", help="JSON file with default option values")
         return p
 
     if p := add("normalize", cmd_normalize,
@@ -326,21 +332,18 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, d
         p.add_argument("--lower", type=float, default=2.0)
         p.add_argument("--upper", type=float, default=2.0)
         p.add_argument("--out-dir", required=True)
-        _add_config(p)
 
     if p := add("remap", cmd_remap, help="remap raw label codes into the 4-class schema"):
         p.add_argument("--labels", required=True, help="raw single-band label raster")
         p.add_argument("--lookup", required=True,
                        help='JSON lookup: {"map": {"<src>": <dst>, ...}}')
         p.add_argument("--out", required=True)
-        _add_config(p)
 
     if p := add("pseudolabel", cmd_pseudolabel, help="index-derived pseudo ground truth"):
         p.add_argument("--raster", required=True)
         _add_height_opts(p)
         p.add_argument("--out", required=True)
         p.add_argument("--report")
-        _add_config(p)
 
     if p := add("assess", cmd_assess, help="score a prediction against pseudo labels"):
         p.add_argument("--raster", required=True)
@@ -352,38 +355,32 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, d
         p.add_argument("--domain-id", required=True)
         p.add_argument("--timestamp", help="fixed ISO timestamp for reproducible reports")
         p.add_argument("--out", required=True)
-        _add_config(p)
 
     if p := add("evaluate", cmd_evaluate, help="ground-truth mIoU of a prediction"):
         p.add_argument("--pred", required=True)
         p.add_argument("--gt", required=True)
         p.add_argument("--out", required=True)
-        _add_config(p)
 
     if p := add("rank", cmd_rank, help="rank models on one domain"):
         p.add_argument("--reports", nargs="+", required=True)
         p.add_argument("--by", choices=("index_miou", "confidence"),
                        default="index_miou")
         p.add_argument("--out", required=True)
-        _add_config(p)
 
     if p := add("correlate", cmd_correlate, help="predictor vs ground-truth correlation"):
         p.add_argument("--reports", nargs="+", required=True)
         p.add_argument("--out", required=True)
-        _add_config(p)
 
     if p := add("tile", cmd_tile, help="cut a raster into overlapping patches"):
         p.add_argument("--input", required=True)
         p.add_argument("--patch", type=int, default=512)
         p.add_argument("--overlap", type=float, default=0.5)
         p.add_argument("--out-dir", required=True)
-        _add_config(p)
 
     if p := add("merge", cmd_merge, help="probability-voting merge of patches"):
         p.add_argument("--patches", required=True, help="directory with tiles.json")
         p.add_argument("--out", required=True)
         p.add_argument("--labels-out")
-        _add_config(p)
 
     group("rf", "random-forest baseline")
     if p := add("rf train", cmd_rf_train):
@@ -402,7 +399,6 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, d
         p.add_argument("--levels", type=int, default=32)
         p.add_argument("--out", required=True)
         p.add_argument("--json-out", help="also write a JSON debug dump")
-        _add_config(p)
 
     if p := add("rf predict", cmd_rf_predict):
         p.add_argument("--model", required=True)
@@ -412,16 +408,15 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, d
         p.add_argument("--levels", type=int, default=32)
         p.add_argument("--out", required=True)
         p.add_argument("--labels-out")
-        _add_config(p)
 
     group("synth", "synthetic domain generator")
     if p := add("synth generate", cmd_synth_generate):
         p.add_argument("--spec", help="DomainSpec JSON (defaults when omitted)")
         p.add_argument("--scenes", type=int, default=3)
         p.add_argument("--out-dir", required=True)
-        _add_config(p)
 
-    add("info", cmd_info, help="print the version, kernel lanes and worker count")
+    add("info", cmd_info, config=False,
+        help="print the version, kernel lanes and worker count")
     return parser, registry
 
 
@@ -447,8 +442,21 @@ def _apply_config(sub: argparse.ArgumentParser, command: str, path: str) -> None
         nested = doc.get(key)
         if isinstance(nested, dict):
             section.update(nested)
-    dests = {a.dest for a in sub._actions}
-    sub.set_defaults(**{k: v for k, v in section.items() if k in dests})
+    actions = {a.dest: a for a in sub._actions}
+    for key, value in section.items():
+        if key in actions and not _fits_option(actions[key], value):
+            raise ValueError(f"config value {key}={value!r} does not fit its option")
+    sub.set_defaults(**{k: v for k, v in section.items() if k in actions})
+
+
+def _fits_option(action: argparse.Action, value) -> bool:
+    """Whether a config value may stand as `action`'s default: argparse
+    converts a string default as it would a flag's word, and no other."""
+    kind = bool if action.nargs == 0 else action.type or str
+    if action.nargs == "+" or isinstance(action, argparse._AppendAction):
+        return value is None or isinstance(value, list) and all(type(v) is kind for v in value)
+    return (value is None or type(value) is kind or kind is float and type(value) is int
+            or kind is not bool and type(value) is str)
 
 
 def main(argv=None) -> int:

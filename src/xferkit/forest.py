@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels as kernels
 from ._parallel import parallel_map
 from .raster import (N_CLASSES, BandRole, LabelMap, MultibandRaster,
-                     ProbabilityMap)
+                     ProbabilityMap, height_role)
 
 GLCM_STAT_NAMES = ("contrast", "dissimilarity", "homogeneity",
                    "energy", "entropy", "correlation")
@@ -200,8 +200,7 @@ def stack_features(raster: MultibandRaster, glcm: MultibandRaster | np.ndarray,
     planes.extend(glcm_data.astype(np.float32))
     if height is not None:
         if isinstance(height, MultibandRaster):
-            role = BandRole.AGL if height.has_band(BandRole.AGL) else BandRole.DSM
-            plane = height.band(role)
+            plane = height.band(height_role(height))
         else:
             plane = np.asarray(height)
         planes.append(plane.astype(np.float32))
@@ -419,6 +418,9 @@ def load_forest(src: str | Path | bytes) -> Forest:
         except struct.error:
             raise ValueError("corrupt file: truncated tree header") from None
         pos += 4
+        # bound the arrays below by the bytes left, at the smallest node's size
+        if n_nodes > (len(buf) - pos) // _NODE_INTERNAL.size:
+            raise ValueError("corrupt file: more nodes declared than the file holds")
         feature = np.full(n_nodes, -1, dtype=np.int32)
         threshold = np.zeros(n_nodes, dtype=np.float64)
         left = np.full(n_nodes, -1, dtype=np.int32)
@@ -461,20 +463,8 @@ def load_forest(src: str | Path | bytes) -> Forest:
 
 
 def forest_to_json(forest: Forest) -> str:
-    doc = {
-        "version": FOREST_VERSION,
-        "d": forest.d,
-        "n_trees": forest.n_trees,
-        "n_classes": forest.n_classes,
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "counts": tree.counts.tolist(),
-            }
-            for tree in forest.trees
-        ],
-    }
+    arrays = ("feature", "threshold", "left", "right", "counts")
+    doc = {"version": FOREST_VERSION, "d": forest.d, "n_trees": forest.n_trees,
+           "n_classes": forest.n_classes,
+           "trees": [{k: getattr(tree, k).tolist() for k in arrays} for tree in forest.trees]}
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import _kernels as kernels
 from .raster import (LABEL_BUILDING, LABEL_GROUND, LABEL_TREE, LABEL_VOID,
-                     LABEL_WATER, BandRole, LabelMap, MultibandRaster)
+                     LABEL_WATER, BandRole, LabelMap, MultibandRaster,
+                     height_role)
 
 
 class IndexKind(Enum):
@@ -48,21 +49,6 @@ class IndexRaster:
 
     def valid_values(self) -> np.ndarray:
         return self.values[self.valid]
-
-
-@dataclass
-class MorphParams:
-    """Square structuring element for the surface-model top-hat.
-
-    The default 63 px footprint (about 19.5 m at 0.31 m GSD) exceeds
-    typical building widths so buildings drop out of the reconstruction.
-    """
-
-    se_size: int = 63
-
-    def __post_init__(self):
-        if self.se_size < 3 or self.se_size % 2 != 1:
-            raise ValueError("se_size must be odd and >= 3")
 
 
 @dataclass(frozen=True)
@@ -113,32 +99,31 @@ def ndwi(raster: MultibandRaster) -> IndexRaster:
     return IndexRaster(_normalized_difference(green, nir), valid, IndexKind.NDWI)
 
 
-def mbi_h(height: MultibandRaster, params: MorphParams | None = None,
-          height_is_agl: bool = False) -> IndexRaster:
-    """Above-ground structure height from a surface model.
+def mbi_h(height: MultibandRaster, se_size: int = 63) -> IndexRaster:
+    """Above-ground structure height from a height raster of the kind its
+    band role names (`raster.height_role`).
 
-    With an AGL input the values already are above-ground heights and
-    pass through unchanged. A DSM goes through top-hat by reconstruction:
-    erode with the square structuring element, reconstruct by dilation
-    (8-connectivity) under the DSM, and subtract.
+    AGL values pass through unchanged. A DSM goes through top-hat by
+    reconstruction: erode with the square structuring element of side
+    `se_size` (odd, >= 3), reconstruct by dilation (8-connectivity) under
+    the DSM, and subtract. The default 63 px (about 19.5 m at 0.31 m GSD)
+    exceeds typical building widths, so buildings drop out.
     """
     if height.normalized:
         raise ValueError("height must be in meters, not normalized")
-    params = params or MorphParams()
-    if height_is_agl:
-        band = height.band(BandRole.AGL) if height.has_band(BandRole.AGL) \
-            else height.band(BandRole.DSM)
-        valid = height.valid_mask()
-        return IndexRaster(band.astype(np.float32), valid, IndexKind.MBIH)
-    dsm = height.band(BandRole.DSM).astype(np.float32)
+    if se_size < 3 or se_size % 2 != 1:
+        raise ValueError("se_size must be odd and >= 3")
     valid = height.valid_mask()
+    if height_role(height) == BandRole.AGL:
+        return IndexRaster(height.band(BandRole.AGL).astype(np.float32), valid, IndexKind.MBIH)
+    dsm = height.band(BandRole.DSM).astype(np.float32)
     if not valid.all():
         # holes filled with the valid minimum: reconstruction treats them
         # as ground, and they are masked invalid in the output anyway
         if not valid.any():
             raise ValueError("no valid samples")
         dsm = np.where(valid, dsm, dsm[valid].min())
-    marker = kernels.grey_erode_square(dsm, params.se_size)
+    marker = kernels.grey_erode_square(dsm, se_size)
     recon = kernels.reconstruct_dilation(marker, dsm)
     return IndexRaster(dsm - recon, valid, IndexKind.MBIH)
 

@@ -58,15 +58,8 @@ class BandRole(IntEnum):
     AGL = 6
 
 
-_ROLE_ALIASES = {
-    "r": BandRole.RED, "red": BandRole.RED,
-    "g": BandRole.GREEN, "green": BandRole.GREEN,
-    "b": BandRole.BLUE, "blue": BandRole.BLUE,
-    "nir": BandRole.NIR,
-    "dsm": BandRole.DSM,
-    "agl": BandRole.AGL,
-    "other": BandRole.OTHER,
-}
+_ROLE_ALIASES = {**{role.name.lower(): role for role in BandRole},
+                 "r": BandRole.RED, "g": BandRole.GREEN, "b": BandRole.BLUE}
 
 
 def parse_role(name: str) -> BandRole:
@@ -74,6 +67,11 @@ def parse_role(name: str) -> BandRole:
         return _ROLE_ALIASES[name.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown band role: {name!r}") from None
+
+
+def height_role(height: MultibandRaster) -> BandRole:
+    """A height raster's kind, and the band it is read by: AGL if it has one, else DSM."""
+    return BandRole.AGL if height.has_band(BandRole.AGL) else BandRole.DSM
 
 
 @dataclass
@@ -103,12 +101,9 @@ class MultibandRaster:
             raise ValueError("at most one band per role (except OTHER)")
         if self.data.shape[1] < 1 or self.data.shape[2] < 1:
             raise ValueError("raster must be at least 1x1")
-        if self.nodata is not None:
-            info_ok = True
-            if self.dtype != Dtype.F32:
-                limits = np.iinfo(self.dtype.numpy_dtype)
-                info_ok = limits.min <= self.nodata <= limits.max
-            if not info_ok:
+        if self.nodata is not None and self.dtype != Dtype.F32:
+            limits = np.iinfo(self.dtype.numpy_dtype)
+            if not limits.min <= self.nodata <= limits.max:
                 raise ValueError("nodata value outside the dtype's range")
 
     @property
@@ -221,7 +216,8 @@ class ProbabilityMap:
         return LabelMap(labels)
 
 
-class Window(NamedTuple):
+@dataclass(frozen=True)
+class Window:
     x: int
     y: int
     width: int
@@ -322,10 +318,8 @@ def compute_truncation_bounds(rasters: Sequence[MultibandRaster], role: BandRole
         cum = np.cumsum(hist)
         k_lo = math.floor(n * lower_pct / 100.0)
         k_hi = math.floor(n * upper_pct / 100.0)
-        lo_idx = k_lo
-        hi_idx = max(lo_idx, n - 1 - k_hi)
-        lo = float(np.searchsorted(cum, lo_idx, side="right"))
-        hi = float(np.searchsorted(cum, hi_idx, side="right"))
+        lo = float(np.searchsorted(cum, k_lo, side="right"))
+        hi = float(np.searchsorted(cum, max(k_lo, n - 1 - k_hi), side="right"))
         return TruncationBounds(lo, hi, degenerate=lo == hi)
 
     # float path: pass 1 global range, pass 2 histogram

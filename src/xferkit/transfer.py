@@ -1,6 +1,8 @@
 """Transferability assessment: pseudo-label generation, index-based
 scoring of model predictions, the confidence baseline, optional
-ground-truth scoring, model ranking and report emission."""
+ground-truth scoring, model ranking and report emission. The pseudo
+truth's settings travel as one record, `PseudoTruthConfig`; a height
+raster's band role says whether it is a DSM or AGL."""
 
 from __future__ import annotations
 
@@ -19,9 +21,10 @@ from ._parallel import parallel_map
 from .forest import Forest, rf_predict
 from .metrics import (ConfusionMatrix, CorrelationStats, EvalResult,
                       confusion, miou, pearson, posterior_confidence_sum)
-from .raster import BandRole, LabelMap, MultibandRaster, ProbabilityMap, plan_tiles
+from .raster import (BandRole, LabelMap, MultibandRaster, ProbabilityMap,
+                     height_role, plan_tiles)
 from .raster import merge_probability_patches  # noqa: F401  (perfbench wraps it at this name)
-from .xras import canonical_json
+from .xras import canonical_json, record_items
 
 
 class PseudoLabelResult(NamedTuple):
@@ -32,12 +35,19 @@ class PseudoLabelResult(NamedTuple):
     mbih: idx.IndexRaster | None
 
 
+@dataclass(frozen=True)
+class PseudoTruthConfig:
+    """The pseudo truth's settings: the DSM top-hat's structuring element
+    (px), the building height threshold (m) and the Otsu bin count."""
+
+    se_size: int = 63
+    mbih_threshold: float = 2.0
+    otsu_bins: int = 256
+
+
 def pseudo_labels(raster: MultibandRaster,
                   height: MultibandRaster | None = None, *,
-                  height_is_agl: bool = False,
-                  se_size: int = 63,
-                  mbih_threshold: float = 2.0,
-                  otsu_bins: int = 256) -> PseudoLabelResult:
+                  config: PseudoTruthConfig = PseudoTruthConfig()) -> PseudoLabelResult:
     """Index-derived pseudo ground truth for one scene.
 
     NDVI/NDWI are clipped at 0 and thresholded by Otsu over the scene's
@@ -49,14 +59,11 @@ def pseudo_labels(raster: MultibandRaster,
         raise ValueError("index-based assessment requires a NIR band")
     ndvi_r = idx.ndvi(raster).clipped()
     ndwi_r = idx.ndwi(raster).clipped()
-    t_ndvi = idx.otsu_threshold(ndvi_r.valid_values(), bins=otsu_bins)
-    t_ndwi = idx.otsu_threshold(ndwi_r.valid_values(), bins=otsu_bins)
-    mbih_r = None
-    if height is not None:
-        mbih_r = idx.mbi_h(height, idx.MorphParams(se_size=se_size),
-                           height_is_agl=height_is_agl)
+    t_ndvi = idx.otsu_threshold(ndvi_r.valid_values(), bins=config.otsu_bins)
+    t_ndwi = idx.otsu_threshold(ndwi_r.valid_values(), bins=config.otsu_bins)
+    mbih_r = None if height is None else idx.mbi_h(height, config.se_size)
     thresholds = idx.ThresholdSet(t_ndvi.threshold, t_ndwi.threshold,
-                                  mbih_threshold, source="otsu")
+                                  config.mbih_threshold, source="otsu")
     labels = idx.fuse_pseudo_labels(ndvi_r, ndwi_r, mbih_r, thresholds)
     return PseudoLabelResult(labels, thresholds, ndvi_r, ndwi_r, mbih_r)
 
@@ -106,9 +113,8 @@ class ModelRanking:
 
 def assess_scenes(scenes: Sequence[Scene],
                   predictions: Mapping[str, Sequence[Prediction]], *,
-                  domain_id: str, height_is_agl: bool = False,
-                  se_size: int = 63, mbih_threshold: float = 2.0,
-                  otsu_bins: int = 256,
+                  domain_id: str,
+                  config: PseudoTruthConfig = PseudoTruthConfig(),
                   timestamp: str | None = None) -> list[TransferReport]:
     """Score every model's predictions on a domain against index-derived
     pseudo labels: one report per model, in mapping order.
@@ -118,7 +124,10 @@ def assess_scenes(scenes: Sequence[Scene],
     Confusion matrices pool across all scenes of the domain before the
     mIoU is computed (micro-average); per-scene values are kept alongside
     when more than one scene is supplied. Deterministic: identical inputs
-    and configuration give identical reports apart from the timestamp.
+    and configuration give identical reports apart from the timestamp. The
+    config digest is the sha256 of the canonical JSON of `config`'s fields,
+    whether the heights are AGL (they must not mix), the domain, the scene
+    count and the model id.
     """
     if not scenes:
         raise ValueError("need at least one scene")
@@ -132,23 +141,18 @@ def assess_scenes(scenes: Sequence[Scene],
                     and (pred.probs.height, pred.probs.width) != shape):
                 raise ValueError("prediction is not co-registered with the raster")
 
+    kinds = {height_role(s.height) for s in scenes if s.height is not None}
+    if len(kinds) > 1:
+        raise ValueError("the scenes of one domain mix AGL and DSM heights")
+
     def truth(scene: Scene):
-        pseudo = pseudo_labels(scene.raster, scene.height,
-                               height_is_agl=height_is_agl, se_size=se_size,
-                               mbih_threshold=mbih_threshold,
-                               otsu_bins=otsu_bins)
+        pseudo = pseudo_labels(scene.raster, scene.height, config=config)
         return pseudo.labels, pseudo.thresholds
 
     truths, thresholds = zip(*parallel_map(truth, scenes))
-    config = {
-        "domain_id": domain_id,
-        "height_is_agl": height_is_agl,
-        "se_size": se_size,
-        "mbih_threshold": mbih_threshold,
-        "otsu_bins": otsu_bins,
-        "clip_negative_indices": True,
-        "n_scenes": len(scenes),
-    }
+    digested = {**record_items(config), "height_is_agl": kinds == {BandRole.AGL},
+                "clip_negative_indices": True, "domain_id": domain_id,
+                "n_scenes": len(scenes)}
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat()
     multi = len(scenes) > 1
@@ -177,7 +181,7 @@ def assess_scenes(scenes: Sequence[Scene],
             thresholds=thresholds,
             valid_pixels=index_eval.valid_pixels,
             config_digest=hashlib.sha256(canonical_json(
-                {**config, "model_id": model_id}).encode()).hexdigest(),
+                {**digested, "model_id": model_id}).encode()).hexdigest(),
             timestamp=timestamp,
             mean_confidence=mean_conf,
             gt_miou=gt_eval.miou if gt_eval else None,
@@ -194,15 +198,14 @@ def assess_scenes(scenes: Sequence[Scene],
 def assess(prediction: LabelMap, raster: MultibandRaster,
            height: MultibandRaster | None = None, *, model_id: str,
            domain_id: str, probs: ProbabilityMap | None = None,
-           gt: LabelMap | None = None, height_is_agl: bool = False,
-           se_size: int = 63, mbih_threshold: float = 2.0,
-           otsu_bins: int = 256, timestamp: str | None = None) -> TransferReport:
+           gt: LabelMap | None = None,
+           config: PseudoTruthConfig = PseudoTruthConfig(),
+           timestamp: str | None = None) -> TransferReport:
     """Single-scene, single-model transferability assessment (see
     `assess_scenes`)."""
     [report] = assess_scenes(
         [Scene(raster, height, gt)], {model_id: [Prediction(prediction, probs)]},
-        domain_id=domain_id, height_is_agl=height_is_agl, se_size=se_size,
-        mbih_threshold=mbih_threshold, otsu_bins=otsu_bins, timestamp=timestamp)
+        domain_id=domain_id, config=config, timestamp=timestamp)
     return report
 
 

@@ -46,7 +46,7 @@ import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -177,9 +177,13 @@ def _canon_value(obj: Any) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_canon_value(v) for v in obj) + "]"
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _canon_value({f.name: v for f in fields(obj)
-                             if (v := getattr(obj, f.name)) is not None})
+        return _canon_value(record_items(obj))
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+
+
+def record_items(record: Any) -> dict[str, Any]:
+    """The fields of a dataclass that are not None: what `canonical_json` writes."""
+    return {f.name: v for f in fields(record) if (v := getattr(record, f.name)) is not None}
 
 
 def canonical_json(obj: Any) -> str:
@@ -190,59 +194,73 @@ def canonical_json(obj: Any) -> str:
 def read_record(cls: type, doc: Any) -> Any:
     """The dataclass `cls` from `doc`, a parsed JSON value, by the reading
     rule of the module docstring: the inverse of `canonical_json`."""
-    return _read(cls, doc, cls.__name__)
-
-
-@functools.cache
-def _record_fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
-    """(name, type, required) of each field of `cls` that `__init__` takes."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name],
-                  f.default is MISSING and f.default_factory is MISSING)
-                 for f in fields(cls) if f.init)
+    return _reader(cls)(doc, cls.__name__)
 
 
 _SCALARS = {int: "an integer", float: "a finite number", str: "a string",
             bool: "true or false"}
 
 
-def _read(tp: Any, value: Any, where: str) -> Any:
-    """`value` read as the type `tp`; `where` names it in errors."""
+@functools.cache
+def _reader(tp: Any) -> Callable[[Any, str], Any]:
+    """The function that reads a value as the type `tp`, `where` naming it
+    in errors; made once per type, so a read inspects no annotation."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:                   # X | None
         [inner] = [a for a in args if a is not type(None)]
-        return None if value is None else _read(inner, value, where)
+        read = _reader(inner)
+        return lambda value, where: None if value is None else read(value, where)
     if tp in _SCALARS:
-        # type(), not isinstance(): a bool is no int; NaN, inf and 10**400 fail the bound
-        fits = type(value) is tp or tp is float and type(value) is int
-        if fits and (tp is not float or abs(value) <= sys.float_info.max):
-            return value
-        raise ValueError(f"{where} must be {_SCALARS[tp]}, not {value!r}")
-    container = list if origin is tuple else dict
-    if not isinstance(value, container):
-        kind = "list" if container is list else "object"
-        raise ValueError(f"{where} must be a JSON {kind}, not {value!r}")
+        def scalar(value, where):
+            # type(), not isinstance(): a bool is no int; NaN, inf and 10**400 fail the bound
+            fits = type(value) is tp or tp is float and type(value) is int
+            if fits and (tp is not float or abs(value) <= sys.float_info.max):
+                return value
+            raise ValueError(f"{where} must be {_SCALARS[tp]}, not {value!r}")
+        return scalar
     if origin is tuple:
-        items = args[:1] * len(value) if args[-1:] == (...,) else args
-        if len(value) != len(items):
-            raise ValueError(f"{where} must hold {len(items)} items, not {value!r}")
-        return tuple(_read(t, v, f"{where}[{i}]")
-                     for i, (t, v) in enumerate(zip(items, value)))
+        fixed = None if args[-1:] == (...,) else [_reader(t) for t in args]
+        each = _reader(args[0])
+
+        def sequence(value, where):
+            if not isinstance(value, list):
+                raise ValueError(f"{where} must be a JSON list, not {value!r}")
+            items = fixed or [each] * len(value)
+            if len(value) != len(items):
+                raise ValueError(f"{where} must hold {len(items)} items, not {value!r}")
+            return tuple(read(v, f"{where}[{i}]")
+                         for i, (read, v) in enumerate(zip(items, value)))
+        return sequence
     if origin is dict:                              # dict[int, ...]
-        bad = [k for k in value if not k.isdecimal()]
-        if bad:
-            raise ValueError(f"{where} keys must be decimal integers, not {bad}")
-        return {int(k): _read(args[1], v, f"{where}[{k}]") for k, v in value.items()}
-    spec = _record_fields(tp)
-    at = "" if where == tp.__name__ else f" at {where}"
-    unknown = sorted(set(value) - {name for name, _, _ in spec})
-    if unknown:
-        raise ValueError(f"unknown {tp.__name__} keys: {unknown}{at}")
-    missing = [name for name, _, required in spec if required and name not in value]
-    if missing:
-        raise ValueError(f"missing {tp.__name__} keys: {missing}{at}")
-    return tp(**{name: _read(t, value[name], f"{tp.__name__}.{name}")
-                 for name, t, _ in spec if name in value})
+        read = _reader(args[1])
+
+        def mapping(value, where):
+            if not isinstance(value, dict):
+                raise ValueError(f"{where} must be a JSON object, not {value!r}")
+            bad = [k for k in value if not k.isdecimal()]
+            if bad:
+                raise ValueError(f"{where} keys must be decimal integers, not {bad}")
+            return {int(k): read(v, f"{where}[{k}]") for k, v in value.items()}
+        return mapping
+    hints = typing.get_type_hints(tp)
+    spec = [(f.name, f"{tp.__name__}.{f.name}", _reader(hints[f.name]),
+             f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(tp) if f.init]
+    names = {name for name, *_ in spec}
+
+    def record(value, where):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a JSON object, not {value!r}")
+        at = "" if where == tp.__name__ else f" at {where}"
+        unknown = sorted(set(value) - names)
+        if unknown:
+            raise ValueError(f"unknown {tp.__name__} keys: {unknown}{at}")
+        missing = [name for name, _, _, required in spec if required and name not in value]
+        if missing:
+            raise ValueError(f"missing {tp.__name__} keys: {missing}{at}")
+        return tp(**{name: read(value[name], field)
+                     for name, field, read, _ in spec if name in value})
+    return record
 
 
 def write_report(report: Any, path: str | Path) -> None:

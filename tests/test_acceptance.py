@@ -16,7 +16,7 @@ from oracles import (brute_force_miou, glcm_window_oracle, naive_tophat,
                      otsu_oracle_float)
 from xferkit import forest as rf
 from xferkit import synth, transfer, xras
-from xferkit.indices import MorphParams, mbi_h, otsu_threshold
+from xferkit.indices import mbi_h, otsu_threshold
 from xferkit.metrics import agreement_probability, confusion, miou, pearson
 from xferkit.raster import (BandRole, ClassLookup, LabelMap, MultibandRaster,
                             merge_probability_patches, remap_labels)
@@ -78,15 +78,15 @@ def test_c03_tophat_matches_naive_geodesic_oracle():
         dsm = (rng.integers(0, 160, size=(32, 32)) * 0.25).astype(np.float32)
         se = sizes[i % len(sizes)]
         raster = MultibandRaster(dsm[None], (BandRole.DSM,))
-        got = mbi_h(raster, MorphParams(se_size=se)).values
+        got = mbi_h(raster, se_size=se).values
         np.testing.assert_array_equal(got, naive_tophat(dsm, se))
         # level-shift invariance, exact on this dyadic grid
         shifted = MultibandRaster((dsm + np.float32(512.0))[None], (BandRole.DSM,))
         np.testing.assert_array_equal(
-            mbi_h(shifted, MorphParams(se_size=se)).values, got)
+            mbi_h(shifted, se_size=se).values, got)
     flat = MultibandRaster(np.full((1, 32, 32), 7.5, dtype=np.float32),
                            (BandRole.DSM,))
-    assert not mbi_h(flat, MorphParams(se_size=9)).values.any()
+    assert not mbi_h(flat, se_size=9).values.any()
     ok(3, "50 random 32x32 DSMs exact, flat zero, level-shift invariant")
 
 
@@ -171,7 +171,7 @@ def study():
             [transfer.Scene(rgbn, agl, gt) for rgbn, agl, gt, _ in entries],
             {model_id: [predict(model, dropout, entry[3]) for entry in entries]
              for model_id, (model, dropout) in models.items()},
-            domain_id=domain, height_is_agl=True, timestamp="study")
+            domain_id=domain, timestamp="study")
         for domain, entries in scenes.items()
     }
     # model-major order, as the correlation sums read it
@@ -297,7 +297,7 @@ def test_c08_pseudo_labels_match_interior_ground_truth():
                for c, s in synth._default_spectra().items()}
     spec = synth.DomainSpec(seed=42, spectra=spectra)    # psf stays on
     rgbn, agl, gt = synth.generate_scene(spec, 0)
-    pseudo = transfer.pseudo_labels(rgbn, agl, height_is_agl=True).labels
+    pseudo = transfer.pseudo_labels(rgbn, agl).labels
 
     interior = np.ones_like(gt.codes, dtype=bool)
     for dy in range(-2, 3):
@@ -339,7 +339,7 @@ def test_c09_format_goldens(tmp_path):
     paths = []
     for i in (0, 1):
         report = transfer.assess(gt, rgbn, agl, model_id="m", domain_id="d",
-                                 height_is_agl=True, gt=gt,
+                                 gt=gt,
                                  timestamp="2026-01-01T00:00:00+00:00")
         path = tmp_path / f"report_{i}.json"
         xras.write_report(report, path)

@@ -400,6 +400,96 @@ def test_config_default_does_not_leak(domain_dir, tmp_path):
     assert json.loads(report.read_text())["thresholds"]["t_mbih"] == 2.0
 
 
+@pytest.mark.parametrize("command,config,key", [
+    (["rf", "train"], {"rf_train": {"trees": 2.5}}, "trees"),
+    (["rf", "train"], {"rf_train": {"stratified": 1}}, "stratified"),
+    (["rf", "train"], {"rf_train": {"height": "h.xras"}}, "height"),
+    (["pseudolabel"], {"pseudolabel": {"mbih_threshold": [2]}}, "mbih_threshold"),
+], ids=["int-float", "flag-int", "list-string", "float-list"])
+def test_config_value_of_the_wrong_type_exits_1(domain_dir, tmp_path, capsys,
+                                                command, config, key):
+    """argparse converts only string defaults: any other value must already
+    have its option's type, or the command exits 1 naming the key."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    rgbn = str(domain_dir / "scene_000_rgbn.xras")
+    rest = (["--labels", str(domain_dir / "scene_000_labels.xras")]
+            if command[0] == "rf" else [])
+    assert main([*command, "--config", str(path), "--raster", rgbn, *rest,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config value") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_that_fit_are_taken(tmp_path):
+    """An int stands for a float, and a string is converted like a flag."""
+    probs = tmp_path / "probs.xras"
+    xras.write_xras(ProbabilityMap(np.full((4, 4, 4), 0.25)), probs)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"tile": {"overlap": 0, "patch": "2"}}))
+    assert main(["tile", "--config", str(config), "--input", str(probs),
+                 "--out-dir", str(tmp_path / "t")]) == 0
+    manifest = json.loads((tmp_path / "t" / "tiles.json").read_text())
+    assert (manifest["overlap"], manifest["patch"], len(manifest["windows"])) == (0, 2, 4)
+
+
+@pytest.mark.parametrize("kind,given", [("agl", "dsm"), ("dsm", "agl")])
+@pytest.mark.parametrize("command", ["pseudolabel", "assess"])
+def test_height_kind_must_match_the_band_role(domain_dir, tmp_path, capsys,
+                                              kind, given, command):
+    height = tmp_path / f"{kind}.xras"
+    agl = xras.read_xras(domain_dir / "scene_000_agl.xras")
+    role = BandRole.AGL if kind == "agl" else BandRole.DSM
+    xras.write_xras(MultibandRaster(agl.data, (role,)), height)
+    rest = (["--pred", str(domain_dir / "scene_000_labels.xras"),
+             "--model-id", "m", "--domain-id", "d"] if command == "assess" else [])
+    out = tmp_path / "out"
+    assert main([command, "--raster", str(domain_dir / "scene_000_rgbn.xras"),
+                 "--height", str(height), "--height-kind", given, *rest,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --height-kind {given}")
+    assert not out.exists()
+
+
+def test_agl_height_is_scored_as_agl_without_height_kind(domain_dir, tmp_path):
+    """The band role decides: an AGL file gives the same pseudo labels and
+    report bytes with or without --height-kind agl."""
+    args = ["--raster", str(domain_dir / "scene_000_rgbn.xras"),
+            "--height", str(domain_dir / "scene_000_agl.xras")]
+    report = ["--pred", str(domain_dir / "scene_000_labels.xras"), "--model-id", "m",
+              "--domain-id", "d", "--timestamp", "t0"]
+    outs = {}
+    for kind in ([], ["--height-kind", "agl"]):
+        name = "".join(kind) or "none"
+        assert main(["pseudolabel", *args, *kind,
+                     "--out", str(tmp_path / f"{name}.xras")]) == 0
+        assert main(["assess", *args, *kind, *report,
+                     "--out", str(tmp_path / f"{name}.json")]) == 0
+        outs[name] = [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("xras", "json")]
+    assert outs["none"] == outs["--height-kindagl"]
+    pseudo = xras.read_label_map(tmp_path / "none.xras")
+    assert (pseudo.codes == 2).any()          # the height rule made buildings
+
+
+# sha256 of `tiles.json` for two cuts of a 90x70 probability map: patch 32
+# with overlap 0.3, and an undersized patch 128
+TILES_SHA256 = {
+    ("32", "0.3"): "d8d2b1944b012dd50123a23fdb314e6c883431252d77673bf02fe4747c361f09",
+    ("128", "0.5"): "3363bf64cb6f3a4b471fe39e6a7f035e3c0bd357b833b808abb995d988aed78d",
+}
+
+
+@pytest.mark.parametrize("patch,overlap", list(TILES_SHA256))
+def test_tiles_manifest_bytes_pinned(tmp_path, patch, overlap):
+    probs = tmp_path / "probs.xras"
+    xras.write_xras(ProbabilityMap(np.full((4, 70, 90), 0.25)), probs)
+    assert main(["tile", "--input", str(probs), "--patch", patch,
+                 "--overlap", overlap, "--out-dir", str(tmp_path / "t")]) == 0
+    blob = (tmp_path / "t" / "tiles.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == TILES_SHA256[patch, overlap]
+
+
 @pytest.mark.parametrize("flag", ["--config", "--conf", "--conf="])
 def test_config_file_read_under_any_spelling_argparse_accepts(tmp_path, flag):
     """An abbreviation that argparse takes for --config applies the file."""

@@ -4,6 +4,7 @@ import hashlib
 import math
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from conftest import const_rgbn, rgbn_raster
 from oracles import glcm_window_oracle
 from xferkit import _kernels
 from xferkit import forest as rf
-from xferkit.raster import LabelMap
+from xferkit.indices import mbi_h
+from xferkit.raster import BandRole, LabelMap, MultibandRaster
 
 
 class TestGlcm:
@@ -93,6 +95,17 @@ class TestStackAndSample:
         assert rf.stack_features(raster, glcm).shape == (10, 6, 6)
         agl = np.zeros((6, 6), dtype=np.float32)
         assert rf.stack_features(raster, glcm, agl).shape == (11, 6, 6)
+
+    def test_height_band_read_as_mbi_h_reads_it(self, rng):
+        """With both a DSM and an AGL band, the feature stack and the height
+        index read the same band: the AGL one."""
+        raster = const_rgbn((6, 6), 0.5, 0.4, 0.3, 0.6)
+        glcm = rf.glcm_features(raster, rf.GlcmParams(window=3, levels=8))
+        bands = rng.uniform(0, 20, (2, 6, 6)).astype(np.float32)
+        height = MultibandRaster(bands, (BandRole.DSM, BandRole.AGL))
+        plane = rf.stack_features(raster, glcm, height)[-1]
+        np.testing.assert_array_equal(plane, bands[1])
+        np.testing.assert_array_equal(mbi_h(height).values, plane)
 
     def test_exhaustive_when_requesting_all(self, rng):
         stack = rng.uniform(0, 1, (3, 4, 4)).astype(np.float32)
@@ -410,6 +423,22 @@ class TestSerialization:
         loaded = rf.load_forest(blob)
         assert loaded.trees[0].n_nodes == 2 * depth + 1
         assert rf.save_forest(loaded) == blob
+
+    def test_declared_node_count_is_bounded_before_allocating(self):
+        """A 51-byte file that declares 10**6 nodes holds room for at most
+        3: it is refused before the node arrays are allocated."""
+        leaf = struct.pack("<B4Q", 1, 1, 2, 3, 4)
+        blob = (struct.pack("<4sHHIH", b"XRFC", 1, 2, 1, 4)
+                + struct.pack("<I", 10**6) + leaf)
+        assert len(blob) == 51
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="corrupt file: more nodes declared"):
+                rf.load_forest(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_json_dump_parses(self):
         import json

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import agl_raster, const_rgbn, dsm_raster, rgbn_raster
 import xferkit
 from oracles import naive_tophat, otsu_oracle_exact, otsu_oracle_float
-from xferkit.indices import (IndexKind, IndexRaster, MorphParams, ThresholdSet,
+from xferkit.indices import (IndexKind, IndexRaster, ThresholdSet,
                              fuse_pseudo_labels, mbi_h, ndvi, ndwi,
                              otsu_threshold)
 from xferkit.raster import LABEL_VOID, BandRole, MultibandRaster
@@ -65,13 +65,13 @@ class TestBandRatios:
 
 class TestMbiH:
     def test_flat_dsm_all_zero(self):
-        out = mbi_h(dsm_raster(np.full((16, 16), 10.0)), MorphParams(se_size=5))
+        out = mbi_h(dsm_raster(np.full((16, 16), 10.0)), se_size=5)
         np.testing.assert_array_equal(out.values, 0.0)
 
     def test_narrow_plateau_extracted(self):
         dsm = np.full((32, 32), 10.0, dtype=np.float32)
         dsm[10:15, 12:17] = 15.0        # 5x5 plateau, narrower than the SE
-        out = mbi_h(dsm_raster(dsm), MorphParams(se_size=9))
+        out = mbi_h(dsm_raster(dsm), se_size=9)
         expect = np.zeros_like(dsm)
         expect[10:15, 12:17] = 5.0
         np.testing.assert_array_equal(out.values, expect)
@@ -80,48 +80,48 @@ class TestMbiH:
         for _ in range(8):
             dsm = (rng.integers(0, 160, size=(32, 32)) * 0.25).astype(np.float32)
             for se in (3, 5, 9):
-                got = mbi_h(dsm_raster(dsm), MorphParams(se_size=se)).values
+                got = mbi_h(dsm_raster(dsm), se_size=se).values
                 np.testing.assert_array_equal(got, naive_tophat(dsm, se))
 
     def test_agl_passthrough_exact(self, rng):
         agl = rng.uniform(0, 30, (8, 8)).astype(np.float32)
-        out = mbi_h(agl_raster(agl), height_is_agl=True)
+        out = mbi_h(agl_raster(agl))
         np.testing.assert_array_equal(out.values, agl)
         assert out.kind == IndexKind.MBIH
 
     def test_level_shift_invariance_exact(self, rng):
         dsm = (rng.integers(0, 160, size=(24, 24)) * 0.25).astype(np.float32)
-        base = mbi_h(dsm_raster(dsm), MorphParams(se_size=5)).values
+        base = mbi_h(dsm_raster(dsm), se_size=5).values
         shifted = mbi_h(dsm_raster(dsm + np.float32(512.0)),
-                        MorphParams(se_size=5)).values
+                        se_size=5).values
         np.testing.assert_array_equal(base, shifted)
 
     def test_nonnegative_and_bounded(self, rng):
         dsm = rng.uniform(0, 50, (20, 20)).astype(np.float32)
-        out = mbi_h(dsm_raster(dsm), MorphParams(se_size=7)).values
+        out = mbi_h(dsm_raster(dsm), se_size=7).values
         assert out.min() >= 0.0
         assert out.max() <= dsm.max() - dsm.min() + 1e-6
 
     def test_normalized_input_rejected(self):
         raster = agl_raster(np.zeros((4, 4)), normalized=True)
         with pytest.raises(ValueError, match="meters"):
-            mbi_h(raster, height_is_agl=True)
+            mbi_h(raster)
 
     def test_params_validated(self):
         with pytest.raises(ValueError, match="odd"):
-            MorphParams(se_size=4)
+            mbi_h(dsm_raster(np.zeros((8, 8))), se_size=4)
 
     def test_nan_pixel_is_void_and_returns(self):
         # A NaN sample once made the reconstruction loop forever; run in a
         # subprocess with a timeout so a regression fails instead of hanging.
         code = """
 import numpy as np
-from xferkit.indices import MorphParams, mbi_h
+from xferkit.indices import mbi_h
 from xferkit.raster import BandRole, MultibandRaster
 dsm = np.random.default_rng(3).uniform(0, 20, (32, 32)).astype(np.float32)
 dsm[10, 12] = np.nan
 out = mbi_h(MultibandRaster(dsm[None], (BandRole.DSM,), nodata=-9999.0),
-            MorphParams(se_size=5))
+            se_size=5)
 assert not out.valid[10, 12] and out.valid.sum() == 32 * 32 - 1
 assert np.isfinite(out.values).all() and out.values.min() >= 0
 """

@@ -1,6 +1,7 @@
 """Transferability orchestration: pseudo labels, assess, ranking,
 correlation, tiled prediction."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -28,14 +29,14 @@ class TestPseudoLabels:
 
     def test_agrees_with_synthetic_ground_truth(self, scene):
         rgbn, agl, gt = scene
-        result = transfer.pseudo_labels(rgbn, agl, height_is_agl=True)
+        result = transfer.pseudo_labels(rgbn, agl)
         agree = (result.labels.codes == gt.codes).mean()
         assert agree > 0.9
         assert result.thresholds.source == "otsu"
 
     def test_no_height_never_creates_building(self, scene):
         rgbn, agl, _ = scene
-        with_h = transfer.pseudo_labels(rgbn, agl, height_is_agl=True).labels
+        with_h = transfer.pseudo_labels(rgbn, agl).labels
         without = transfer.pseudo_labels(rgbn, None).labels
         assert not np.any(without.codes == LABEL_BUILDING)
         was_building = with_h.codes == LABEL_BUILDING
@@ -46,52 +47,49 @@ class TestPseudoLabels:
 class TestAssess:
     def test_self_agreement_is_one(self, scene):
         rgbn, agl, _ = scene
-        pseudo = transfer.pseudo_labels(rgbn, agl, height_is_agl=True).labels
+        pseudo = transfer.pseudo_labels(rgbn, agl).labels
         report = transfer.assess(pseudo, rgbn, agl, model_id="m",
-                                 domain_id="d", height_is_agl=True,
-                                 timestamp="t0")
+                                 domain_id="d", timestamp="t0")
         assert report.index_miou == 1.0
 
     def test_cyclic_shift_scores_zero(self, scene):
         rgbn, agl, _ = scene
-        pseudo = transfer.pseudo_labels(rgbn, agl, height_is_agl=True).labels
+        pseudo = transfer.pseudo_labels(rgbn, agl).labels
         rotated = pseudo.codes.copy()
         live = rotated != LABEL_VOID
         rotated[live] = (rotated[live] + 1) % 4
         report = transfer.assess(LabelMap(rotated), rgbn, agl, model_id="m",
-                                 domain_id="d", height_is_agl=True,
-                                 timestamp="t0")
+                                 domain_id="d", timestamp="t0")
         assert report.index_miou == 0.0
 
     def test_single_changed_pixel_drops_below_one(self, scene):
         rgbn, agl, _ = scene
-        pseudo = transfer.pseudo_labels(rgbn, agl, height_is_agl=True).labels
+        pseudo = transfer.pseudo_labels(rgbn, agl).labels
         tweaked = pseudo.codes.copy()
         live = np.argwhere(tweaked != LABEL_VOID)[0]
         tweaked[tuple(live)] = (tweaked[tuple(live)] + 1) % 4
         report = transfer.assess(LabelMap(tweaked), rgbn, agl, model_id="m",
-                                 domain_id="d", height_is_agl=True,
-                                 timestamp="t0")
+                                 domain_id="d", timestamp="t0")
         assert report.index_miou < 1.0
 
     def test_deterministic_and_digest_tracks_config(self, scene):
         rgbn, agl, gt = scene
-        pred = transfer.pseudo_labels(rgbn, agl, height_is_agl=True).labels
-        kw = dict(model_id="m", domain_id="d", height_is_agl=True,
-                  gt=gt, timestamp="t0")
+        pred = transfer.pseudo_labels(rgbn, agl).labels
+        kw = dict(model_id="m", domain_id="d", gt=gt, timestamp="t0")
         one = transfer.assess(pred, rgbn, agl, **kw)
         two = transfer.assess(pred, rgbn, agl, **kw)
         assert xras.canonical_json(one) == xras.canonical_json(two)
-        other = transfer.assess(pred, rgbn, agl, se_size=31, **kw)
+        other = transfer.assess(pred, rgbn, agl,
+                                config=transfer.PseudoTruthConfig(se_size=31), **kw)
         assert other.config_digest != one.config_digest
 
     def test_gt_fields_present_iff_supplied(self, scene):
         rgbn, agl, gt = scene
-        pred = transfer.pseudo_labels(rgbn, agl, height_is_agl=True).labels
+        pred = transfer.pseudo_labels(rgbn, agl).labels
         bare = transfer.assess(pred, rgbn, agl, model_id="m", domain_id="d",
-                               height_is_agl=True, timestamp="t0")
+                               timestamp="t0")
         rich = transfer.assess(pred, rgbn, agl, model_id="m", domain_id="d",
-                               height_is_agl=True, gt=gt, timestamp="t0")
+                               gt=gt, timestamp="t0")
         bare_doc = json.loads(xras.canonical_json(bare))
         rich_doc = json.loads(xras.canonical_json(rich))
         assert "gt_miou" not in bare_doc
@@ -102,11 +100,11 @@ class TestAssess:
 
     def test_multi_scene_pooling(self, scene):
         rgbn, agl, gt = scene
-        pseudo = transfer.pseudo_labels(rgbn, agl, height_is_agl=True).labels
+        pseudo = transfer.pseudo_labels(rgbn, agl).labels
         scenes = [transfer.Scene(rgbn, agl, gt)] * 2
         [report] = transfer.assess_scenes(
             scenes, {"m": [transfer.Prediction(pseudo)] * 2}, domain_id="d",
-            height_is_agl=True, timestamp="t0")
+            timestamp="t0")
         assert report.index_miou == 1.0
         assert len(report.thresholds) == 2
         assert report.per_scene_index_miou == (1.0, 1.0)
@@ -123,7 +121,7 @@ class TestAssess:
                                np.ones((8, 8), dtype=np.int32))
         with pytest.raises(ValueError, match="co-registered"):
             transfer.assess(gt, rgbn, agl, model_id="m", domain_id="d",
-                            height_is_agl=True, probs=small)
+                            probs=small)
 
 
 def _noisy(gt, rate, seed, with_probs=True):
@@ -169,13 +167,13 @@ class TestAssessScenes:
 
         monkeypatch.setattr(transfer, "pseudo_labels", counted)
         reports = transfer.assess_scenes(scenes, predictions, domain_id="d",
-                                         height_is_agl=True, timestamp="t0")
+                                         timestamp="t0")
         assert len(calls) == len(scenes) == 2
         assert [r.model_id for r in reports] == list(predictions)
 
     def test_each_report_equals_its_single_model_call(self, domain):
         scenes, predictions = domain
-        kw = dict(domain_id="d", height_is_agl=True, timestamp="t0")
+        kw = dict(domain_id="d", timestamp="t0")
         reports = transfer.assess_scenes(scenes, predictions, **kw)
         assert len(reports) == 3
         for (model_id, preds), report in zip(predictions.items(), reports):
@@ -185,6 +183,29 @@ class TestAssessScenes:
         assert reports[0].per_scene_gt_miou is not None
         assert len(reports[0].per_scene_gt_miou) == 1
         assert reports[2].mean_confidence is None
+
+    def test_mixed_agl_and_dsm_heights_refused(self, domain):
+        scenes, predictions = domain
+        dsm = MultibandRaster(scenes[1].height.data, (BandRole.DSM,))
+        mixed = [scenes[0], scenes[1]._replace(height=dsm)]
+        with pytest.raises(ValueError, match="mix AGL and DSM"):
+            transfer.assess_scenes(mixed, predictions, domain_id="d")
+
+    def test_digest_reads_the_height_kind_from_the_band_role(self, domain):
+        """The digest is the sha256 of the config record's fields and the
+        derived keys; an AGL band makes height_is_agl true, a DSM band false."""
+        scenes, predictions = domain
+        config = transfer.PseudoTruthConfig(se_size=31, mbih_threshold=2.5)
+        as_dsm = [s._replace(height=MultibandRaster(s.height.data, (BandRole.DSM,)))
+                  for s in scenes]
+        for heights, is_agl in ((scenes, True), (as_dsm, False)):
+            [report] = transfer.assess_scenes(heights, {"m0": predictions["m0"]},
+                                              domain_id="d", config=config)
+            doc = {"se_size": 31, "mbih_threshold": 2.5, "otsu_bins": 256,
+                   "height_is_agl": is_agl, "clip_negative_indices": True,
+                   "domain_id": "d", "n_scenes": 2, "model_id": "m0"}
+            digest = hashlib.sha256(xras.canonical_json(doc).encode()).hexdigest()
+            assert report.config_digest == digest
 
     def test_prediction_count_must_match_scenes(self, domain):
         scenes, predictions = domain

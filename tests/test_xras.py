@@ -251,6 +251,22 @@ def test_read_record_refuses_what_does_not_fit(text, field):
         xras.read_record(DomainSpec, json.loads(text))
 
 
+@pytest.mark.parametrize("name", RECORDS)
+def test_read_record_inspects_each_annotation_once(name, monkeypatch):
+    """The reader of a type is made on its first read; later reads do not
+    look at the annotations again."""
+    record = RECORDS[name]
+    doc = json.loads(xras.canonical_json(record))
+    xras.read_record(type(record), doc)
+
+    def refuse(tp):
+        raise AssertionError(f"annotation {tp} inspected again")
+
+    monkeypatch.setattr(xras.typing, "get_origin", refuse)
+    monkeypatch.setattr(xras.typing, "get_type_hints", refuse)
+    assert xras.read_record(type(record), doc) == record
+
+
 def test_write_report_byte_stable(tmp_path):
     doc = {"x": 0.1234567, "y": "s"}
     p1 = tmp_path / "a.json"
