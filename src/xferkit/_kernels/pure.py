@@ -48,22 +48,24 @@ def grey_erode_square(img: np.ndarray, size: int) -> np.ndarray:
     `size` cells is the min of the two runs of the largest power of two
     p <= size that start at its two ends. Min is idempotent, so their
     overlap changes nothing: each axis takes floor(log2(size)) + 1 passes
-    of np.minimum, and the result is exact.
+    of np.minimum, and the result is exact. A window of 2n - 1 cells
+    already covers an axis of n cells from every cell, so a wider one is
+    cut to that: the padding, and the memory, stay bounded by the image.
     """
-    r = size // 2
     for axis in (0, 1):
         def cut(a, lo, n):
             return a[(slice(None),) * axis + (slice(lo, lo + n),)]
 
         n = img.shape[axis]
-        run = np.pad(img, [(r, r) if a == axis else (0, 0) for a in (0, 1)],
+        k = min(size, 2 * n - 1)
+        run = np.pad(img, [(k // 2, k // 2) if a == axis else (0, 0) for a in (0, 1)],
                      mode="constant", constant_values=np.inf)
         span = 1
-        while 2 * span <= size:
+        while 2 * span <= k:
             m = run.shape[axis] - span
             run = np.minimum(cut(run, 0, m), cut(run, span, m))
             span *= 2
-        img = np.minimum(cut(run, 0, n), cut(run, size - span, n))
+        img = np.minimum(cut(run, 0, n), cut(run, k - span, n))
     return img
 
 

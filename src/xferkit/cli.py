@@ -5,8 +5,10 @@ as --config: keys are the option names with dashes replaced by
 underscores, either flat or nested under the command name (e.g.
 {"assess": {"se_size": 63}}). Explicit flags override the file, and
 required options must still be given as flags. A value of the wrong type
-for its option is an error. A --height raster is read as DSM or AGL by its
-band role; --height-kind, when given, must agree with the role.
+for its option is an error. Every other JSON input (reports, specs, tile
+manifests and lookups) is a record, read by `xras.read_record`. A --height
+raster is read as DSM or AGL by its band role; --height-kind, when given,
+must agree with the role.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_remap(args) -> int:
-    lookup = ClassLookup.from_json(Path(args.lookup).read_text())
+    lookup = xras.read_record(ClassLookup, json.loads(Path(args.lookup).read_text()))
     labels = remap_labels(xras.read_xras(args.labels), lookup)
     xras.write_xras(labels, args.out)
     return 0
@@ -156,13 +158,6 @@ class TileManifest:
     windows: tuple[TilePatch, ...]
 
 
-# read_record names the field first; these fields keep merge's old error texts
-_MANIFEST_RULES = {**dict.fromkeys(("TileManifest.width", "TileManifest.height"),
-                                   "width and height must be integers >= 1"),
-                   **{f"TilePatch.{f.name}": "window fields must be integers"
-                      for f in fields(Window)}}
-
-
 def cmd_tile(args) -> int:
     raster = xras.read_xras(args.input)
     plan = plan_tiles(raster.width, raster.height, args.patch, args.overlap)
@@ -188,8 +183,7 @@ def cmd_merge(args) -> int:
         manifest = xras.read_record(
             TileManifest, json.loads((Path(args.patches) / "tiles.json").read_text()))
     except ValueError as exc:
-        rule = _MANIFEST_RULES.get(str(exc).partition(" ")[0])
-        raise ValueError(f"manifest {rule}: {exc}" if rule else f"manifest: {exc}") from None
+        raise ValueError(f"manifest: {exc}") from None
     if min(manifest.width, manifest.height) < 1:
         raise ValueError(f"manifest width and height must be integers >= 1: "
                          f"{manifest.width}, {manifest.height}")

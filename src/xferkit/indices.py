@@ -3,6 +3,7 @@ fusion into pseudo ground truth labels."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -10,8 +11,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels as kernels
-from .raster import (LABEL_BUILDING, LABEL_GROUND, LABEL_TREE, LABEL_VOID,
-                     LABEL_WATER, BandRole, LabelMap, MultibandRaster,
+from .raster import (_HIST_BINS, LABEL_BUILDING, LABEL_GROUND, LABEL_TREE,
+                     LABEL_VOID, LABEL_WATER, BandRole, LabelMap, MultibandRaster,
                      height_role)
 
 
@@ -64,8 +65,8 @@ class ThresholdSet:
     def __post_init__(self):
         if not 0.0 <= self.t_ndvi <= 1.0 or not 0.0 <= self.t_ndwi <= 1.0:
             raise ValueError("NDVI/NDWI thresholds must lie in [0, 1]")
-        if self.t_mbih <= 0:
-            raise ValueError("height threshold must be positive")
+        if not 0 < self.t_mbih < math.inf:     # false for NaN too
+            raise ValueError("height threshold must be finite and positive")
         if self.source not in ("otsu", "manual"):
             raise ValueError("threshold source must be 'otsu' or 'manual'")
 
@@ -99,6 +100,12 @@ def ndwi(raster: MultibandRaster) -> IndexRaster:
     return IndexRaster(_normalized_difference(green, nir), valid, IndexKind.NDWI)
 
 
+def check_se_size(se_size: int) -> None:
+    """The rule for the DSM top-hat's structuring element: odd and >= 3."""
+    if se_size < 3 or se_size % 2 != 1:
+        raise ValueError("se_size must be odd and >= 3")
+
+
 def mbi_h(height: MultibandRaster, se_size: int = 63) -> IndexRaster:
     """Above-ground structure height from a height raster of the kind its
     band role names (`raster.height_role`).
@@ -111,8 +118,7 @@ def mbi_h(height: MultibandRaster, se_size: int = 63) -> IndexRaster:
     """
     if height.normalized:
         raise ValueError("height must be in meters, not normalized")
-    if se_size < 3 or se_size % 2 != 1:
-        raise ValueError("se_size must be odd and >= 3")
+    check_se_size(se_size)
     valid = height.valid_mask()
     if height_role(height) == BandRole.AGL:
         return IndexRaster(height.band(BandRole.AGL).astype(np.float32), valid, IndexKind.MBIH)
@@ -144,8 +150,8 @@ def otsu_threshold(values, bins: int = 256) -> OtsuResult:
         raise ValueError("no valid samples")
     if not (vals.min() >= 0.0 and vals.max() <= 1.0):     # false for NaN too
         raise ValueError("samples must lie in [0, 1]; clip negatives first")
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
+    if not 2 <= bins <= _HIST_BINS:
+        raise ValueError(f"need 2 to {_HIST_BINS} bins, not {bins}")
     hist = np.bincount((vals * bins).astype(np.int64), minlength=bins + 1)
     hist[bins - 1] += hist[bins]      # a sample of 1.0 belongs to the top bin
     hist = hist[:bins]

@@ -4,7 +4,6 @@ tiling, and overlap-voting merge."""
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -246,31 +245,19 @@ class TilingPlan:
         return tuple(Window(x, y, tw, th) for y in self.ys for x in self.xs)
 
 
+@dataclass(frozen=True)
 class ClassLookup:
-    """Total mapping from source label codes to the 5-code target schema."""
+    """Total mapping from source label codes to the 5-code target schema;
+    a record, read from `{"map": {"<src>": <dst>, ...}}` by `xras.read_record`."""
 
-    def __init__(self, entries: Mapping[int, int]):
-        self.entries = {int(k): int(v) for k, v in entries.items()}
-        for src, dst in self.entries.items():
+    map: dict[int, int]
+
+    def __post_init__(self):
+        for src, dst in self.map.items():
             if not 0 <= src <= 65535:
                 raise ValueError(f"source code out of range: {src}")
             if dst not in VALID_LABEL_CODES:
                 raise ValueError(f"target code outside schema: {dst}")
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClassLookup":
-        """A lookup as `to_json` writes it; anything else raises ValueError."""
-        doc = json.loads(text)
-        entries = doc.get("map") if isinstance(doc, dict) and len(doc) == 1 else None
-        if not (isinstance(entries, dict) and all(
-                k.isdecimal() and type(v) is int for k, v in entries.items())):
-            raise ValueError('a lookup must be {"map": {"<decimal code>": '
-                             '<integer code>, ...}}')
-        return cls(entries)
-
-    def to_json(self) -> str:
-        body = ", ".join(f'"{k}": {v}' for k, v in sorted(self.entries.items()))
-        return '{"map": {%s}}' % body
 
 
 class TruncationBounds(NamedTuple):
@@ -398,11 +385,11 @@ def remap_labels(labels: np.ndarray | MultibandRaster, lookup: ClassLookup) -> L
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("labels must be integer typed")
     present = np.unique(arr)
-    unmapped = [int(c) for c in present if int(c) not in lookup.entries]
+    unmapped = [int(c) for c in present if int(c) not in lookup.map]
     if unmapped:
         raise ValueError(f"unmapped label codes: {unmapped}")
     table = np.zeros(int(present.max()) + 1, dtype=np.uint8)
-    for src, dst in lookup.entries.items():
+    for src, dst in lookup.map.items():
         if src < table.size:
             table[src] = dst
     return LabelMap(table[arr.astype(np.int64)])

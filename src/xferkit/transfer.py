@@ -44,6 +44,9 @@ class PseudoTruthConfig:
     mbih_threshold: float = 2.0
     otsu_bins: int = 256
 
+    def __post_init__(self):
+        idx.check_se_size(self.se_size)
+
 
 def pseudo_labels(raster: MultibandRaster,
                   height: MultibandRaster | None = None, *,

@@ -201,10 +201,19 @@ _SCALARS = {int: "an integer", float: "a finite number", str: "a string",
             bool: "true or false"}
 
 
+def _named(where: str | tuple) -> str:
+    """A location as errors name it: a field, or (location, key) for an
+    item of one; made into text only when an error is raised."""
+    if type(where) is tuple:
+        outer, key = where
+        return f"{_named(outer)}[{key}]"
+    return where
+
+
 @functools.cache
-def _reader(tp: Any) -> Callable[[Any, str], Any]:
-    """The function that reads a value as the type `tp`, `where` naming it
-    in errors; made once per type, so a read inspects no annotation."""
+def _reader(tp: Any) -> Callable[[Any, str | tuple], Any]:
+    """The function that reads a value as the type `tp`, `where` locating it
+    for `_named`; made once per type, so a read inspects no annotation."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:                   # X | None
         [inner] = [a for a in args if a is not type(None)]
@@ -216,7 +225,7 @@ def _reader(tp: Any) -> Callable[[Any, str], Any]:
             fits = type(value) is tp or tp is float and type(value) is int
             if fits and (tp is not float or abs(value) <= sys.float_info.max):
                 return value
-            raise ValueError(f"{where} must be {_SCALARS[tp]}, not {value!r}")
+            raise ValueError(f"{_named(where)} must be {_SCALARS[tp]}, not {value!r}")
         return scalar
     if origin is tuple:
         fixed = None if args[-1:] == (...,) else [_reader(t) for t in args]
@@ -224,23 +233,23 @@ def _reader(tp: Any) -> Callable[[Any, str], Any]:
 
         def sequence(value, where):
             if not isinstance(value, list):
-                raise ValueError(f"{where} must be a JSON list, not {value!r}")
+                raise ValueError(f"{_named(where)} must be a JSON list, not {value!r}")
             items = fixed or [each] * len(value)
             if len(value) != len(items):
-                raise ValueError(f"{where} must hold {len(items)} items, not {value!r}")
-            return tuple(read(v, f"{where}[{i}]")
-                         for i, (read, v) in enumerate(zip(items, value)))
+                raise ValueError(f"{_named(where)} must hold {len(items)} items, not {value!r}")
+            return tuple([read(v, (where, i))
+                          for i, (read, v) in enumerate(zip(items, value))])
         return sequence
     if origin is dict:                              # dict[int, ...]
         read = _reader(args[1])
 
         def mapping(value, where):
             if not isinstance(value, dict):
-                raise ValueError(f"{where} must be a JSON object, not {value!r}")
+                raise ValueError(f"{_named(where)} must be a JSON object, not {value!r}")
             bad = [k for k in value if not k.isdecimal()]
             if bad:
-                raise ValueError(f"{where} keys must be decimal integers, not {bad}")
-            return {int(k): read(v, f"{where}[{k}]") for k, v in value.items()}
+                raise ValueError(f"{_named(where)} keys must be decimal integers, not {bad}")
+            return {int(k): read(v, (where, k)) for k, v in value.items()}
         return mapping
     hints = typing.get_type_hints(tp)
     spec = [(f.name, f"{tp.__name__}.{f.name}", _reader(hints[f.name]),
@@ -250,14 +259,13 @@ def _reader(tp: Any) -> Callable[[Any, str], Any]:
 
     def record(value, where):
         if not isinstance(value, dict):
-            raise ValueError(f"{where} must be a JSON object, not {value!r}")
-        at = "" if where == tp.__name__ else f" at {where}"
+            raise ValueError(f"{_named(where)} must be a JSON object, not {value!r}")
         unknown = sorted(set(value) - names)
-        if unknown:
-            raise ValueError(f"unknown {tp.__name__} keys: {unknown}{at}")
         missing = [name for name, _, _, required in spec if required and name not in value]
-        if missing:
-            raise ValueError(f"missing {tp.__name__} keys: {missing}{at}")
+        if unknown or missing:
+            at = "" if where == tp.__name__ else f" at {_named(where)}"
+            raise ValueError(f"unknown {tp.__name__} keys: {unknown}{at}" if unknown
+                             else f"missing {tp.__name__} keys: {missing}{at}")
         return tp(**{name: read(value[name], field)
                      for name, field, read, _ in spec if name in value})
     return record

@@ -6,6 +6,7 @@ the same information). The synthetic transferability study builds once
 per session and is shared by the criterion-7 assertions.
 """
 
+import json
 import struct
 import time
 
@@ -355,8 +356,8 @@ def test_c09_format_goldens(tmp_path):
 def test_c10_label_remap_conformance():
     # JAX-style source schema: 0 ground, 1 tree, 2 roof, 3 water,
     # 4 elevated road -> void
-    jax = ClassLookup.from_json(
-        '{"map": {"0": 0, "1": 1, "2": 2, "3": 3, "4": 255}}')
+    jax = xras.read_record(ClassLookup, json.loads(
+        '{"map": {"0": 0, "1": 1, "2": 2, "3": 3, "4": 255}}'))
     raw = np.array([[0, 1, 2], [3, 4, 4]], dtype=np.uint8)
     out = remap_labels(raw, jax)
     np.testing.assert_array_equal(out.codes, [[0, 1, 2], [3, 255, 255]])

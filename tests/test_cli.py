@@ -254,10 +254,13 @@ def test_remap_command(tmp_path):
                                   [[0, 1, 2], [3, 255, 255]])
 
 
-@pytest.mark.parametrize("lookup", [
-    "[]", '{"map": [1]}', '{"map": {"0": 1.5}}', '{"map": {"0": true}}',
+@pytest.mark.parametrize("lookup,message", [
+    ("[]", "ClassLookup must be a JSON object, not []"),
+    ('{"map": [1]}', "ClassLookup.map must be a JSON object, not [1]"),
+    ('{"map": {"0": 1.5}}', "ClassLookup.map[0] must be an integer, not 1.5"),
+    ('{"map": {"0": true}}', "ClassLookup.map[0] must be an integer, not True"),
 ], ids=["list", "map-list", "code-float", "code-bool"])
-def test_remap_rejects_malformed_lookup(tmp_path, capsys, lookup):
+def test_remap_rejects_malformed_lookup(tmp_path, capsys, lookup, message):
     raw_path = tmp_path / "raw.xras"
     xras.write_xras(MultibandRaster(np.zeros((1, 2, 3), dtype=np.uint8),
                                     (BandRole.OTHER,)), raw_path)
@@ -265,7 +268,7 @@ def test_remap_rejects_malformed_lookup(tmp_path, capsys, lookup):
     out = tmp_path / "remapped.xras"
     assert main(["remap", "--labels", str(raw_path), "--lookup",
                  str(tmp_path / "lookup.json"), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith('error: a lookup must be {"map"')
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -311,7 +314,8 @@ def test_merge_rejects_non_integer_window_fields(tmp_path, value, capsys):
     manifest["windows"][0]["x"] = value
     (tiles / "tiles.json").write_text(json.dumps(manifest))
     assert main(["merge", "--patches", str(tiles), "--out", str(tmp_path / "m.xras")]) == 1
-    assert "error: manifest window fields must be integers" in capsys.readouterr().err
+    assert f"error: manifest: TilePatch.x must be an integer, not {value!r}" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,value", [("width", 1.0), ("width", "1"), ("width", True),
@@ -329,7 +333,10 @@ def test_merge_rejects_bad_manifest_sizes(tmp_path, field, value, capsys):
     manifest[field] = value
     (tiles / "tiles.json").write_text(json.dumps(manifest))
     assert main(["merge", "--patches", str(tiles), "--out", str(tmp_path / "m.xras")]) == 1
-    assert "error: manifest width and height must be integers >= 1" in capsys.readouterr().err
+    expected = (f"error: manifest: TileManifest.{field} must be an integer, not {value!r}"
+                if type(value) is not int else
+                "error: manifest width and height must be integers >= 1")
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit", [
@@ -470,6 +477,28 @@ def test_agl_height_is_scored_as_agl_without_height_kind(domain_dir, tmp_path):
     assert outs["none"] == outs["--height-kindagl"]
     pseudo = xras.read_label_map(tmp_path / "none.xras")
     assert (pseudo.codes == 2).any()          # the height rule made buildings
+
+
+@pytest.mark.parametrize("command,option,value,message", [
+    ("pseudolabel", "--mbih-threshold", "nan", "height threshold must be finite and positive"),
+    ("pseudolabel", "--mbih-threshold", "inf", "height threshold must be finite and positive"),
+    ("assess", "--se-size", "4", "se_size must be odd and >= 3"),
+    ("assess", "--otsu-bins", "100000000000", "need 2 to 65536 bins"),
+], ids=["mbih-nan", "mbih-inf", "se-size-even-no-height", "otsu-bins-huge"])
+def test_settings_that_cannot_run_exit_1(domain_dir, tmp_path, capsys,
+                                         command, option, value, message):
+    """Each is refused with an error line and no output, where it used to
+    run: a NaN or infinite height threshold marks no building, an even
+    se_size went into the config digest, and 10**11 Otsu bins tried to
+    allocate 745 GiB."""
+    rest = (["--pred", str(domain_dir / "scene_000_labels.xras"), "--model-id", "m",
+             "--domain-id", "d"] if command == "assess" else
+            ["--height", str(domain_dir / "scene_000_agl.xras")])
+    out = tmp_path / "out"
+    assert main([command, "--raster", str(domain_dir / "scene_000_rgbn.xras"), *rest,
+                 option, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 # sha256 of `tiles.json` for two cuts of a 90x70 probability map: patch 32

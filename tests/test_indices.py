@@ -154,6 +154,15 @@ class TestOtsu:
             with pytest.raises(ValueError, match="clip"):
                 otsu_threshold(np.array([0.2, bad, 0.5]))
 
+    def test_bins_bounded_by_the_histogram_resolution(self):
+        """65,536 bins, the truncation histograms' resolution, is the most
+        a threshold takes; more is refused before anything is allocated."""
+        samples = np.array([0.25, 0.75])
+        assert otsu_threshold(samples, bins=65536).threshold == 0.25 + 1 / 65536
+        for bins in (65537, 10**11):
+            with pytest.raises(ValueError, match="need 2 to 65536 bins"):
+                otsu_threshold(samples, bins=bins)
+
     def test_one_lands_in_top_bin(self):
         # 1.0 * bins is one past the last bin; it counts in the top bin
         got = otsu_threshold(np.array([0.0, 0.0, 1.0, 1.0]), bins=4)

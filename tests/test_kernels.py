@@ -10,6 +10,7 @@ test_kernel_parity.py.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,21 @@ def test_erode_thin_images_match_brute_force(front, shape, size, rng):
     """Single rows, columns and pixels, and negative values."""
     img = rng.uniform(-5, 40, shape).astype(np.float32)
     np.testing.assert_array_equal(front.grey_erode_square(img, size), brute_erode(img, size))
+
+
+@pytest.mark.parametrize("size", [4001, 2 * 64 + 1])
+def test_erode_wider_than_the_image_is_bounded(front, size, rng):
+    """A window wider than 2n - 1 cells gives every pixel the global
+    minimum, with memory bounded by the image, not by the window."""
+    img = rng.uniform(0, 10, (48, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = front.grey_erode_square(img, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, np.full_like(img, img.min()))
+    assert peak < 256 * 1024
 
 
 def test_reconstruction_rejects_bad_marker(kernels):

@@ -1,11 +1,14 @@
 """Raster core: truncation bounds, normalization, remapping, tiling, merge."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import sort_truncation_oracle as _sort_oracle
+from xferkit import xras
 from xferkit.raster import (LABEL_VOID, BandRole, ClassLookup, LabelMap,
                             MultibandRaster, ProbabilityMap, Window,
                             compute_truncation_bounds, extract_patch,
@@ -169,9 +172,10 @@ class TestRemapLabels:
         np.testing.assert_array_equal(once.codes, twice.codes)
 
     def test_lookup_json_roundtrip(self):
-        lookup = ClassLookup.from_json('{"map": {"4": 255, "0": 0}}')
-        assert lookup.entries == {4: 255, 0: 0}
-        assert ClassLookup.from_json(lookup.to_json()).entries == lookup.entries
+        lookup = xras.read_record(ClassLookup, json.loads('{"map": {"4": 255, "0": 0}}'))
+        assert lookup.map == {4: 255, 0: 0}
+        assert xras.canonical_json(lookup) == '{"map":{"0":0,"4":255}}'
+        assert xras.read_record(ClassLookup, json.loads(xras.canonical_json(lookup))) == lookup
 
 
 class TestPlanTiles:

@@ -123,6 +123,17 @@ class TestAssess:
             transfer.assess(gt, rgbn, agl, model_id="m", domain_id="d",
                             probs=small)
 
+    @pytest.mark.xfail(strict=True, reason="no absent-class guard yet (ROADMAP item 3)")
+    def test_absent_class_does_not_cost_a_perfect_prediction(self):
+        """A scene with no water: Otsu still cuts NDWI, labels a few pixels
+        water, and the ground truth itself scores index mIoU 0.7458, water
+        IoU 0.0, against a gt mIoU of 1.0. Remove the marker with the guard."""
+        rgbn, agl, gt = synth.generate_scene(synth.DomainSpec(seed=1, water_fraction=0.0), 0)
+        report = transfer.assess(gt, rgbn, agl, model_id="gt", domain_id="d", gt=gt,
+                                 timestamp="t0")
+        assert report.gt_miou == 1.0
+        assert report.index_miou >= 0.99
+
 
 def _noisy(gt, rate, seed, with_probs=True):
     rng = np.random.default_rng(seed)

@@ -251,6 +251,21 @@ def test_read_record_refuses_what_does_not_fit(text, field):
         xras.read_record(DomainSpec, json.loads(text))
 
 
+@pytest.mark.parametrize("record,edit,message", [
+    ("report-rich", lambda d: d["thresholds"][1].pop("t_ndwi"),
+     r"missing ThresholdSet keys: \['t_ndwi'\] at TransferReport.thresholds\[1\]"),
+    ("spec-partial-spectra", lambda d: d["spectra"]["3"].update(bogus=1),
+     r"unknown ClassSpectrum keys: \['bogus'\] at DomainSpec.spectra\[3\]"),
+], ids=["tuple-item", "dict-item"])
+def test_read_record_locates_a_refused_item(record, edit, message):
+    """A record inside a tuple or dict is located by its outer field and its
+    index or key, made into text only when it is refused."""
+    doc = json.loads(xras.canonical_json(RECORDS[record]))
+    edit(doc)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        xras.read_record(type(RECORDS[record]), doc)
+
+
 @pytest.mark.parametrize("name", RECORDS)
 def test_read_record_inspects_each_annotation_once(name, monkeypatch):
     """The reader of a type is made on its first read; later reads do not
