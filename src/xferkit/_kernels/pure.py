@@ -35,6 +35,11 @@ import numpy as np
 NAME = "pure"
 
 
+def _cut(a: np.ndarray, axis: int, lo: int, n: int) -> np.ndarray:
+    """The n cells of `a` from `lo` on along `axis`, a view."""
+    return a[(slice(None),) * axis + (slice(lo, lo + n),)]
+
+
 # ---------------------------------------------------------------------------
 # grayscale morphology
 # ---------------------------------------------------------------------------
@@ -53,9 +58,6 @@ def grey_erode_square(img: np.ndarray, size: int) -> np.ndarray:
     cut to that: the padding, and the memory, stay bounded by the image.
     """
     for axis in (0, 1):
-        def cut(a, lo, n):
-            return a[(slice(None),) * axis + (slice(lo, lo + n),)]
-
         n = img.shape[axis]
         k = min(size, 2 * n - 1)
         run = np.pad(img, [(k // 2, k // 2) if a == axis else (0, 0) for a in (0, 1)],
@@ -63,9 +65,9 @@ def grey_erode_square(img: np.ndarray, size: int) -> np.ndarray:
         span = 1
         while 2 * span <= k:
             m = run.shape[axis] - span
-            run = np.minimum(cut(run, 0, m), cut(run, span, m))
+            run = np.minimum(_cut(run, axis, 0, m), _cut(run, axis, span, m))
             span *= 2
-        img = np.minimum(cut(run, 0, n), cut(run, k - span, n))
+        img = np.minimum(_cut(run, axis, 0, n), _cut(run, axis, k - span, n))
     return img
 
 
@@ -232,19 +234,16 @@ def _run_sums(a: np.ndarray, n: int, axis: int, count: int) -> np.ndarray:
     """Sums of n consecutive cells along `axis` of `a`, for the `count` runs
     that start at 0, 1, ...: a run of 2^(k+1) cells is two runs of 2^k,
     and a run of n cells is one run per binary digit of n. Keeps a's dtype."""
-    def cut(x, lo, size):
-        return x[(slice(None),) * axis + (slice(lo, lo + size),)]
-
-    part, span, pos, out = cut(a, 0, count + n - 1), 1, 0, None
+    part, span, pos, out = _cut(a, axis, 0, count + n - 1), 1, 0, None
     while True:
         if n & span:
-            piece = cut(part, pos, count)
+            piece = _cut(part, axis, pos, count)
             out = piece.copy() if out is None else np.add(out, piece, out=out)
             pos += span
         if 2 * span > n:
             return out
         size = part.shape[axis] - span
-        part = cut(part, 0, size) + cut(part, span, size)
+        part = _cut(part, axis, 0, size) + _cut(part, axis, span, size)
         span *= 2
 
 

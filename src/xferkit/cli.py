@@ -232,10 +232,7 @@ def cmd_rf_predict(args) -> int:
         raise ValueError("model was trained with a height feature; pass --height")
     if model.d == 10 and args.height:
         raise ValueError("model has no height feature; drop --height")
-    stack = _scene_feature_stack(args.raster, args.height, params)
-    if stack.shape[0] != model.d:
-        raise ValueError(f"feature stack has {stack.shape[0]} planes, model wants {model.d}")
-    pmap = rf.rf_predict(model, stack)
+    pmap = rf.rf_predict(model, _scene_feature_stack(args.raster, args.height, params))
     xras.write_xras(pmap, args.out)
     if args.labels_out:
         xras.write_xras(pmap.argmax_labels(), args.labels_out)

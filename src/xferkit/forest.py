@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels as kernels
 from ._parallel import parallel_map
 from .raster import (N_CLASSES, BandRole, LabelMap, MultibandRaster,
-                     ProbabilityMap, height_role)
+                     ProbabilityMap, bin_index, height_role)
 
 GLCM_STAT_NAMES = ("contrast", "dissimilarity", "homogeneity",
                    "energy", "entropy", "correlation")
@@ -153,13 +153,15 @@ class Forest:
 # ---------------------------------------------------------------------------
 
 def quantize_luminance(raster: MultibandRaster, levels: int) -> np.ndarray:
-    """Quantize 0.299R + 0.587G + 0.114B into `levels` bins; -1 where any
-    of the three bands is nodata. Expects a raster normalized to [0, 1]."""
+    """Quantize 0.299R + 0.587G + 0.114B, clipped to [0, 1], into `levels`
+    bins by `raster.bin_index` (floor(u * levels), 1.0 to the top level);
+    -1 where any of the three bands is nodata. Expects a raster normalized
+    to [0, 1]."""
     r = raster.band(BandRole.RED).astype(np.float64)
     g = raster.band(BandRole.GREEN).astype(np.float64)
     b = raster.band(BandRole.BLUE).astype(np.float64)
     luma = np.clip(_LUMA[0] * r + _LUMA[1] * g + _LUMA[2] * b, 0.0, 1.0)
-    q = np.minimum((luma * levels).astype(np.int32), levels - 1)
+    q = bin_index(luma, levels)
     valid = raster.valid_mask((BandRole.RED, BandRole.GREEN, BandRole.BLUE))
     q[~valid] = -1
     return q

@@ -11,8 +11,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels as kernels
-from .raster import (_HIST_BINS, LABEL_BUILDING, LABEL_GROUND, LABEL_TREE,
-                     LABEL_VOID, LABEL_WATER, BandRole, LabelMap, MultibandRaster,
+from .raster import (LABEL_BUILDING, LABEL_GROUND, LABEL_TREE, LABEL_VOID,
+                     LABEL_WATER, BandRole, LabelMap, MultibandRaster, bin_index,
                      height_role)
 
 
@@ -137,10 +137,11 @@ def mbi_h(height: MultibandRaster, se_size: int = 63) -> IndexRaster:
 def otsu_threshold(values, bins: int = 256) -> OtsuResult:
     """Bin-edge threshold maximizing between-class variance.
 
-    Samples must be pre-clipped to [0, 1]. The argmax over the candidate
-    bin edges is evaluated in exact integer arithmetic (counts and bin
-    indices are integers and the variance ranking is invariant to affine
-    transforms of the bin values), so the result always equals the
+    Samples must be pre-clipped to [0, 1]; `raster.bin_index` bins them
+    (u to bin floor(u * bins), 1.0 to the top bin). The argmax over the
+    candidate bin edges is evaluated in exact integer arithmetic (counts
+    and bin indices are integers and the variance ranking is invariant to
+    affine transforms of the bin values), so the result always equals the
     exhaustive maximizer; ties go to the lower threshold. If all samples
     fall into one bin the result is that bin's upper edge, flagged
     degenerate.
@@ -150,11 +151,7 @@ def otsu_threshold(values, bins: int = 256) -> OtsuResult:
         raise ValueError("no valid samples")
     if not (vals.min() >= 0.0 and vals.max() <= 1.0):     # false for NaN too
         raise ValueError("samples must lie in [0, 1]; clip negatives first")
-    if not 2 <= bins <= _HIST_BINS:
-        raise ValueError(f"need 2 to {_HIST_BINS} bins, not {bins}")
-    hist = np.bincount((vals * bins).astype(np.int64), minlength=bins + 1)
-    hist[bins - 1] += hist[bins]      # a sample of 1.0 belongs to the top bin
-    hist = hist[:bins]
+    hist = np.bincount(bin_index(vals, bins), minlength=bins)
     occupied = np.nonzero(hist)[0]
     if occupied.size == 1:
         return OtsuResult(float((occupied[0] + 1) / bins), degenerate=True)

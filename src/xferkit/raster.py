@@ -269,6 +269,16 @@ class TruncationBounds(NamedTuple):
 _HIST_BINS = 65536
 
 
+def bin_index(u: np.ndarray, bins: int) -> np.ndarray:
+    """The one binning rule for values in [0, 1]: u goes to bin floor(u * bins),
+    and 1.0 to the top bin, bins - 1; int64. Truncation, Otsu and the GLCM
+    gray levels all bin by it. A bin count outside 2 to 65536 is refused
+    before anything is allocated."""
+    if not 2 <= bins <= _HIST_BINS:
+        raise ValueError(f"need 2 to {_HIST_BINS} bins, not {bins}")
+    return np.minimum((u * bins).astype(np.int64), bins - 1)
+
+
 def _band_samples(raster: MultibandRaster, role: BandRole) -> np.ndarray:
     return raster.band(role)[raster.valid_mask((role,))]
 
@@ -279,67 +289,49 @@ def compute_truncation_bounds(rasters: Sequence[MultibandRaster], role: BandRole
     """Dataset-level histogram-truncation bounds for one band role.
 
     Pools the band's valid samples (`valid_mask`: finite, not nodata)
-    across all rasters, cuts floor(n * pct / 100) samples from each end
-    and returns the extremes of what remains. Integer dtypes use an exact
-    65536-bin histogram; float32 uses a two-pass (min-max, then 65536-bin)
-    histogram, so float bounds are accurate to one bin width.
+    across all rasters into one 65536-bin histogram, cuts
+    floor(n * pct / 100) samples from each end and returns the extremes of
+    the bins that remain. An integer sample is its own bin, so integer
+    bounds are exact. A float32 sample is binned by `bin_index` over
+    [min, max] of all samples (a first pass finds them), so float bounds
+    are the bin edges: the low bin's lower edge and the high bin's upper
+    edge, clipped to max.
     """
-    if lower_pct < 0 or upper_pct < 0:
-        raise ValueError("percentages must be non-negative")
-    if lower_pct + upper_pct >= 100:
-        raise ValueError("lower_pct + upper_pct must be below 100")
+    if not (lower_pct >= 0 and upper_pct >= 0 and lower_pct + upper_pct < 100):
+        raise ValueError("percentages must be >= 0 and sum to below 100, "
+                         f"not lower {lower_pct} and upper {upper_pct}")
     with_band = [r for r in rasters if r.has_band(role)]
     if not with_band:
         raise ValueError(f"no raster contains a {role.name} band")
 
     integer_input = all(r.dtype != Dtype.F32 for r in with_band)
-    if integer_input:
-        hist = np.zeros(_HIST_BINS, dtype=np.int64)
-        for r in with_band:
-            vals = _band_samples(r, role)
-            if vals.size:
-                hist += np.bincount(vals.astype(np.int64), minlength=_HIST_BINS)
-        n = int(hist.sum())
-        if n == 0:
+    vmin, vmax = 0.0, float(_HIST_BINS)        # an integer sample is its own bin
+    if not integer_input:
+        ranges = [(v.min(), v.max()) for v in (_band_samples(r, role) for r in with_band)
+                  if v.size]
+        if not ranges:
             raise ValueError("no valid samples")
-        cum = np.cumsum(hist)
-        k_lo = math.floor(n * lower_pct / 100.0)
-        k_hi = math.floor(n * upper_pct / 100.0)
-        lo = float(np.searchsorted(cum, k_lo, side="right"))
-        hi = float(np.searchsorted(cum, max(k_lo, n - 1 - k_hi), side="right"))
-        return TruncationBounds(lo, hi, degenerate=lo == hi)
-
-    # float path: pass 1 global range, pass 2 histogram
-    vmin = np.inf
-    vmax = -np.inf
-    n = 0
-    for r in with_band:
-        vals = _band_samples(r, role)
-        if vals.size:
-            vmin = min(vmin, float(vals.min()))
-            vmax = max(vmax, float(vals.max()))
-            n += vals.size
-    if n == 0:
-        raise ValueError("no valid samples")
-    if vmin == vmax:
-        return TruncationBounds(vmin, vmax, degenerate=True)
+        vmin, vmax = float(min(lo for lo, _ in ranges)), float(max(hi for _, hi in ranges))
+        if vmin == vmax:
+            return TruncationBounds(vmin, vmax, degenerate=True)
     width = (vmax - vmin) / _HIST_BINS
     hist = np.zeros(_HIST_BINS, dtype=np.int64)
     for r in with_band:
-        vals = _band_samples(r, role).astype(np.float64)
-        if vals.size:
-            bins = np.clip(((vals - vmin) / (vmax - vmin) * _HIST_BINS).astype(np.int64),
-                           0, _HIST_BINS - 1)
-            hist += np.bincount(bins, minlength=_HIST_BINS)
+        vals = _band_samples(r, role)
+        bins = vals if integer_input else \
+            bin_index((vals.astype(np.float64) - vmin) / (vmax - vmin), _HIST_BINS)
+        hist += np.bincount(bins, minlength=_HIST_BINS)
+    n = int(hist.sum())
+    if n == 0:
+        raise ValueError("no valid samples")
     cum = np.cumsum(hist)
     k_lo = math.floor(n * lower_pct / 100.0)
     k_hi = math.floor(n * upper_pct / 100.0)
-    lo_bin = int(np.searchsorted(cum, k_lo, side="right"))
-    hi_bin = int(np.searchsorted(cum, max(k_lo, n - 1 - k_hi), side="right"))
+    lo_bin, hi_bin = np.searchsorted(cum, [k_lo, max(k_lo, n - 1 - k_hi)],
+                                     side="right").tolist()
     lo = vmin + lo_bin * width
-    hi = min(vmax, vmin + (hi_bin + 1) * width)
-    if hi < lo:
-        hi = lo
+    hi = vmin + hi_bin * width if integer_input else \
+        max(min(vmax, vmin + (hi_bin + 1) * width), lo)
     return TruncationBounds(lo, hi, degenerate=lo == hi)
 
 

@@ -31,7 +31,8 @@ taking their defaults, or a `dict[int, ...]` with decimal keys; a list
 becomes a tuple of the annotated length; `int` and `float` (finite) refuse
 bools, `str` and `bool` match exactly, and null fits only `X | None`.
 Anything else, an unknown or a missing key too, is a ValueError that
-names the field.
+names the field; a fault inside a record that sits in a tuple, a dict or a
+field ends with ` at <its location>` (`... at TileManifest.windows[3]`).
 """
 
 from __future__ import annotations
@@ -260,14 +261,18 @@ def _reader(tp: Any) -> Callable[[Any, str | tuple], Any]:
     def record(value, where):
         if not isinstance(value, dict):
             raise ValueError(f"{_named(where)} must be a JSON object, not {value!r}")
-        unknown = sorted(set(value) - names)
-        missing = [name for name, _, _, required in spec if required and name not in value]
-        if unknown or missing:
-            at = "" if where == tp.__name__ else f" at {_named(where)}"
-            raise ValueError(f"unknown {tp.__name__} keys: {unknown}{at}" if unknown
-                             else f"missing {tp.__name__} keys: {missing}{at}")
-        return tp(**{name: read(value[name], field)
-                     for name, field, read, _ in spec if name in value})
+        try:
+            unknown = sorted(set(value) - names)
+            missing = [name for name, _, _, required in spec if required and name not in value]
+            if unknown or missing:
+                raise ValueError(f"unknown {tp.__name__} keys: {unknown}" if unknown
+                                 else f"missing {tp.__name__} keys: {missing}")
+            return tp(**{name: read(value[name], field)
+                         for name, field, read, _ in spec if name in value})
+        except ValueError as e:     # a nested record's fault ends with its location
+            if where == tp.__name__:
+                raise
+            raise ValueError(f"{e} at {_named(where)}") from None
     return record
 
 

@@ -128,6 +128,23 @@ def test_normalize_command(tmp_path):
     assert set(report["bounds"]) == {"red", "green", "blue", "nir"}
 
 
+@pytest.mark.parametrize("option,value", [("--lower", "nan"), ("--upper", "inf"),
+                                          ("--lower", "-inf")])
+def test_normalize_refuses_non_finite_percentages(tmp_path, capsys, option, value):
+    """NaN passed both `< 0` checks and died converting NaN to an integer;
+    every non-finite percentage is refused by name, before any output."""
+    src = tmp_path / "raw.xras"
+    xras.write_xras(MultibandRaster(np.arange(16, dtype=np.uint8).reshape(1, 4, 4),
+                                    (BandRole.RED,)), src)
+    out_dir = tmp_path / "norm"
+    assert main(["normalize", "--input", str(src), "--bands", "r", f"{option}={value}",
+                 "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: percentages must be >= 0 and sum to below 100")
+    assert value in err
+    assert not out_dir.exists()
+
+
 def test_pseudolabel_command(domain_dir, tmp_path):
     out = tmp_path / "pseudo.xras"
     report = tmp_path / "pseudo.json"
@@ -238,6 +255,22 @@ def test_rf_predict_height_mismatch_errors(domain_dir, model_path, tmp_path):
                "--window", "5", "--levels", "8",
                "--out", str(tmp_path / "p.xras")])
     assert rc == 1
+
+
+def test_rf_predict_refuses_a_model_of_another_width(domain_dir, tmp_path, capsys):
+    """A model whose feature count is neither 10 nor 11 is refused by
+    `rf_predict`'s own check, with an error line and no output."""
+    rng = np.random.default_rng(0)
+    data = rf.PixelDataset(rng.uniform(0, 1, (40, 9)), rng.integers(0, 4, 40))
+    model = tmp_path / "d9.xrfc"
+    rf.save_forest(rf.rf_train(data, rf.RfHyperparams(n_trees=1, min_samples_leaf=1,
+                                                      min_samples_split=2)), model)
+    out = tmp_path / "p.xras"
+    assert main(["rf", "predict", "--model", str(model),
+                 "--raster", str(domain_dir / "scene_001_rgbn.xras"),
+                 "--window", "5", "--levels", "8", "--out", str(out)]) == 1
+    assert "does not match d=9" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_remap_command(tmp_path):

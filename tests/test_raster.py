@@ -60,6 +60,27 @@ class TestTruncationBounds:
         assert abs(got.lo - lo) <= bin_w + 1e-9
         assert abs(got.hi - hi) <= bin_w + 1e-9
 
+    def test_float_bounds_pinned_bit_for_bit(self):
+        """Float bounds are bin edges of [min, max]; these hex values pin them
+        exactly (the `normalize` record keeps only 6 digits)."""
+        rng = np.random.default_rng(2024)
+        uniform = rng.uniform(-5, 20, size=5000).astype(np.float32)
+        got = compute_truncation_bounds([_single_band(uniform, np.float32)], BandRole.RED)
+        assert (got.lo.hex(), got.hi.hex()) == ("-0x1.1ca036b898000p+2",
+                                                "0x1.37431670d1000p+4")
+        rng = np.random.default_rng(7)
+        normal = rng.normal(3.0, 2.0, size=2000).astype(np.float32)
+        constant = np.full(300, 1.25, dtype=np.float32)
+        with_nan = rng.uniform(-1, 9, size=700).astype(np.float32)
+        with_nan[17] = np.nan
+        rasters = [_single_band(c, np.float32) for c in (normal, constant, with_nan)]
+        got = compute_truncation_bounds(rasters, BandRole.RED)
+        assert (got.lo.hex(), got.hi.hex()) == ("-0x1.c9de70eae0000p-1",
+                                                "0x1.09a7b35edb000p+3")
+        got = compute_truncation_bounds(rasters, BandRole.RED, 10, 5)
+        assert (got.lo.hex(), got.hi.hex()) == ("0x1.dc39260080000p-2",
+                                                "0x1.defcc0011c000p+2")
+
     def test_nodata_excluded_and_empty_errors(self):
         raster = _single_band([5, 5, 5, 9], np.uint8, nodata=9)
         bounds = compute_truncation_bounds([raster], BandRole.RED)

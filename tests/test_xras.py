@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from xferkit import xras
+from xferkit.cli import TileManifest, TilePatch
 from xferkit.indices import ThresholdSet
 from xferkit.raster import BandRole, Dtype, LabelMap, MultibandRaster, ProbabilityMap
 from xferkit.synth import ClassSpectrum, DomainSpec
@@ -219,6 +220,9 @@ RECORDS = {
         width=48, height=40, seed=3, psf=False, gain=(0.9, 1.0, 1.1, 1.25),
         spectra={1: ClassSpectrum((0.1, 0.5, 0.25, 0.75), 0.0, 0.125),
                  3: ClassSpectrum((0.05, 0.1, 0.2, 0.0))}),
+    "tiles": TileManifest(4, 4, 2, 0.0, 2, False, tuple(
+        TilePatch(x, y, 2, 2, f"tile_{i:03d}.xras")
+        for i, (x, y) in enumerate([(0, 0), (2, 0), (0, 2), (2, 2)]))),
 }
 
 
@@ -256,10 +260,17 @@ def test_read_record_refuses_what_does_not_fit(text, field):
      r"missing ThresholdSet keys: \['t_ndwi'\] at TransferReport.thresholds\[1\]"),
     ("spec-partial-spectra", lambda d: d["spectra"]["3"].update(bogus=1),
      r"unknown ClassSpectrum keys: \['bogus'\] at DomainSpec.spectra\[3\]"),
-], ids=["tuple-item", "dict-item"])
+    ("tiles", lambda d: d["windows"][3].update(x=0.0),
+     r"TilePatch.x must be an integer, not 0.0 at TileManifest.windows\[3\]"),
+    ("report-rich", lambda d: d["thresholds"][1].update(t_ndvi="high"),
+     r"ThresholdSet.t_ndvi must be a finite number, not 'high' at TransferReport.thresholds\[1\]"),
+    ("report-rich", lambda d: d["thresholds"][1].update(t_ndvi=1.5),
+     r"NDVI/NDWI thresholds must lie in \[0, 1\] at TransferReport.thresholds\[1\]"),
+], ids=["tuple-item", "dict-item", "window-field", "threshold-field", "threshold-value"])
 def test_read_record_locates_a_refused_item(record, edit, message):
-    """A record inside a tuple or dict is located by its outer field and its
-    index or key, made into text only when it is refused."""
+    """A fault inside a record that sits in a tuple or dict, in its keys, its
+    fields or its own checks, ends with the outer field and the index or
+    key, named once and made into text only when it is refused."""
     doc = json.loads(xras.canonical_json(RECORDS[record]))
     edit(doc)
     with pytest.raises(ValueError, match=f"^{message}$"):
