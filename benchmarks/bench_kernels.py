@@ -96,7 +96,7 @@ def bench(size, repeats):
         ys = rng.integers(0, 4, n_root).astype(np.uint8)
         drawn = np.bincount(rng.integers(0, n_root, n_root), minlength=n_root)
         rows = np.flatnonzero(drawn)
-        roots[n_root] = (Xs, ys, rows, drawn[rows], feats, 20, 4)
+        roots[n_root] = (Xs, ys, rows, drawn[rows], feats, 20)
 
     n_nodes = 2047                      # full binary tree of depth 10
     feature = np.full(n_nodes, -1, dtype=np.int32)

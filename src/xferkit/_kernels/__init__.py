@@ -6,9 +6,8 @@ the `compiled` lane and numpy on the `pure` lane. The other three,
 `grey_erode_square`, `glcm_feature_image` and `best_split`, have one
 implementation, numpy in `pure`, which every lane calls: numpy outruns
 plain C loops on them. The compiled lane is used when its library
-loads, and `FALLBACK_REASON` keeps why it did not; set
-``XFERKIT_BACKEND=pure`` (or ``compiled``) to force a lane. `compiled`
-means the C kernel where one exists.
+loads, and `FALLBACK_REASON` keeps why it did not. `compiled` means the
+C kernel where one exists.
 
 The functions below coerce dtypes and contiguity and check every contract
 once, then call the kernel. The kernels check nothing: the C loops index
@@ -19,10 +18,9 @@ size and tally with that multiplicity.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from ..raster import N_CLASSES
 from . import pure
 
 FALLBACK_REASON: str | None = None
@@ -32,23 +30,16 @@ except ImportError as exc:  # library not built
     compiled = None
     FALLBACK_REASON = str(exc)
 
-_requested = os.environ.get("XFERKIT_BACKEND", "").strip().lower()
-if _requested not in ("", "auto", "pure", "compiled"):
-    raise ImportError(f"unknown XFERKIT_BACKEND value: {_requested!r}")
-if _requested == "compiled" and compiled is None:
-    raise ImportError(f"XFERKIT_BACKEND=compiled but the compiled lane is "
-                      f"unavailable: {FALLBACK_REASON}")
-_lane = pure if _requested == "pure" or compiled is None else compiled
+_lane = pure if compiled is None else compiled
 BACKEND = _lane.NAME
 # the lane each kernel runs on
 LANES = {"reconstruct_dilation": BACKEND, "tree_apply": BACKEND,
          "grey_erode_square": pure.NAME, "glcm_feature_image": pure.NAME,
          "best_split": pure.NAME}
 
-# best_split's limits come from the sort key of `pure.best_split`: the low
-# uint32 of each key packs a row's count into its `_COUNT_BITS` = 28 low
-# bits and the row's class into the 4 bits above them
-MAX_CLASSES = 16         # classes 0..15: class 15 sets the top bit
+# best_split's count limit comes from the sort key of `pure.best_split`:
+# the low uint32 of each key packs a row's count into its `_COUNT_BITS` =
+# 28 low bits and the row's class (below N_CLASSES = 4) into the 4 above
 MAX_COUNT = 2**28 - 1    # node size with multiplicity: so every count fits
                          # its 28 bits, and squared tallies fit int64
 MAX_LEVELS = 46340       # GLCM pair codes a*levels+b must fit a 32-bit int
@@ -102,7 +93,7 @@ def glcm_feature_image(levels_img, window: int, levels: int, offsets) -> np.ndar
                                    int(levels), offsets)
 
 
-def best_split(X, y, rows, counts, feats, min_leaf: int, n_classes: int = 4):
+def best_split(X, y, rows, counts, feats, min_leaf: int):
     """Best Gini split for the node holding row rows[i] of X counts[i]
     times; returns (feature, threshold, found). See `pure.best_split` for
     the contract.
@@ -126,18 +117,16 @@ def best_split(X, y, rows, counts, feats, min_leaf: int, n_classes: int = 4):
         raise ValueError("best_split needs X (n, d), y (n,), and 1-D rows and feats")
     if counts.shape != rows.shape:
         raise ValueError("counts must be shaped like rows")
-    if not 1 <= n_classes <= MAX_CLASSES:
-        raise ValueError(f"n_classes must lie in [1, {MAX_CLASSES}]")
     if not _in_range(rows, 0, n):
         raise ValueError("rows holds a row outside [0, n)")
     if not _in_range(counts, 1, MAX_COUNT + 1) or counts.sum() > MAX_COUNT:
         raise ValueError(f"counts must be >= 1 and sum to at most {MAX_COUNT}")
     if feats.size and (feats[0] < 0 or feats[-1] >= d):
         raise ValueError("feats holds a feature outside [0, d)")
-    if not _in_range(y[rows], 0, n_classes):
-        raise ValueError("a label of the node lies outside [0, n_classes)")
+    if not _in_range(y[rows], 0, N_CLASSES):
+        raise ValueError(f"a label of the node lies outside [0, {N_CLASSES})")
     return pure.best_split(X, np.ascontiguousarray(y, dtype=np.uint8), rows, counts,
-                           feats, max(int(min_leaf), 1), int(n_classes))
+                           feats, max(int(min_leaf), 1))
 
 
 def tree_apply(feature, threshold, left, right, X) -> np.ndarray:

@@ -372,7 +372,7 @@ def _ordered_bits(v: np.ndarray) -> np.ndarray:
 
 
 def best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray, counts: np.ndarray,
-               feats: np.ndarray, min_leaf: int, n_classes: int = 4):
+               feats: np.ndarray, min_leaf: int):
     """Best Gini split for the node holding row rows[i] of X counts[i] times.
 
     Maximizes sum(c_left^2)/n_left + sum(c_right^2)/n_right over midpoint
@@ -397,7 +397,7 @@ def best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray, counts: np.ndarra
     maximum: the lowest feature row, then the lowest threshold.
     """
     yr = y[rows]
-    totals = np.bincount(yr, weights=counts, minlength=n_classes).astype(np.int64)
+    totals = np.bincount(yr, weights=counts).astype(np.int64)
     size = int(totals.sum())
     k, m = feats.size, rows.size
     if k == 0 or m < 2 or size < 2 * min_leaf:

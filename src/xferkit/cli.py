@@ -142,7 +142,14 @@ def cmd_correlate(args) -> int:
 
 @dataclass(frozen=True)
 class TilePatch(Window):
+    """One patch `tile` cut: its window, and its file in the patch directory."""
+
     file: str
+
+    def __post_init__(self):
+        if Path(self.file).name != self.file or self.file in ("", ".", ".."):
+            raise ValueError(f"TilePatch.file must be a file name in the patch "
+                             f"directory, not {self.file!r}")
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,6 @@ class Tree:
 class Forest:
     trees: list[Tree]
     d: int
-    n_classes: int = N_CLASSES
 
     @property
     def n_trees(self) -> int:
@@ -139,7 +138,7 @@ class Forest:
         X = np.ascontiguousarray(X, dtype=np.float32)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"feature dimensionality {X.shape} does not match d={self.d}")
-        acc = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
+        acc = np.zeros((X.shape[0], N_CLASSES), dtype=np.float64)
         for tree in self.trees:
             leaf = kernels.tree_apply(tree.feature, tree.threshold,
                                       tree.left, tree.right, X)
@@ -293,8 +292,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, hp: RfHyperparams, k: int,
         if depth >= hp.max_depth or hist.sum() < hp.min_samples_split or pure:
             return node
         feats = rng.choice(d, size=k, replace=False)
-        f, thr, ok = kernels.best_split(X, y, rows, mult, feats,
-                                        hp.min_samples_leaf, N_CLASSES)
+        f, thr, ok = kernels.best_split(X, y, rows, mult, feats, hp.min_samples_leaf)
         if not ok:
             return node
         # compare in float64, as best_split scored and tree_apply routes:
@@ -394,7 +392,7 @@ def _emit_tree(tree: Tree, out: bytearray) -> None:
 def save_forest(forest: Forest, path: str | Path | None = None) -> bytes:
     out = bytearray()
     out += _F_HEADER.pack(FOREST_MAGIC, FOREST_VERSION, forest.d,
-                          forest.n_trees, forest.n_classes)
+                          forest.n_trees, N_CLASSES)
     for tree in forest.trees:
         _emit_tree(tree, out)
     blob = bytes(out)
@@ -467,6 +465,6 @@ def load_forest(src: str | Path | bytes) -> Forest:
 def forest_to_json(forest: Forest) -> str:
     arrays = ("feature", "threshold", "left", "right", "counts")
     doc = {"version": FOREST_VERSION, "d": forest.d, "n_trees": forest.n_trees,
-           "n_classes": forest.n_classes,
+           "n_classes": N_CLASSES,
            "trees": [{k: getattr(tree, k).tolist() for k in arrays} for tree in forest.trees]}
     return json.dumps(doc, indent=2, sort_keys=True)

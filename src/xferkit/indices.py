@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -14,12 +13,6 @@ from . import _kernels as kernels
 from .raster import (LABEL_BUILDING, LABEL_GROUND, LABEL_TREE, LABEL_VOID,
                      LABEL_WATER, BandRole, LabelMap, MultibandRaster, bin_index,
                      height_role)
-
-
-class IndexKind(Enum):
-    NDVI = "ndvi"
-    NDWI = "ndwi"
-    MBIH = "mbih"
 
 
 @dataclass
@@ -32,7 +25,6 @@ class IndexRaster:
 
     values: np.ndarray
     valid: np.ndarray
-    kind: IndexKind
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
@@ -46,7 +38,7 @@ class IndexRaster:
 
     def clipped(self) -> "IndexRaster":
         """Negative values set to 0 (the rule applied before Otsu and fusion)."""
-        return IndexRaster(np.maximum(self.values, 0.0), self.valid, self.kind)
+        return IndexRaster(np.maximum(self.values, 0.0), self.valid)
 
     def valid_values(self) -> np.ndarray:
         return self.values[self.valid]
@@ -89,7 +81,7 @@ def ndvi(raster: MultibandRaster) -> IndexRaster:
     nir = raster.band(BandRole.NIR)
     red = raster.band(BandRole.RED)
     valid = raster.valid_mask((BandRole.NIR, BandRole.RED))
-    return IndexRaster(_normalized_difference(nir, red), valid, IndexKind.NDVI)
+    return IndexRaster(_normalized_difference(nir, red), valid)
 
 
 def ndwi(raster: MultibandRaster) -> IndexRaster:
@@ -97,7 +89,7 @@ def ndwi(raster: MultibandRaster) -> IndexRaster:
     green = raster.band(BandRole.GREEN)
     nir = raster.band(BandRole.NIR)
     valid = raster.valid_mask((BandRole.GREEN, BandRole.NIR))
-    return IndexRaster(_normalized_difference(green, nir), valid, IndexKind.NDWI)
+    return IndexRaster(_normalized_difference(green, nir), valid)
 
 
 def check_se_size(se_size: int) -> None:
@@ -121,7 +113,7 @@ def mbi_h(height: MultibandRaster, se_size: int = 63) -> IndexRaster:
     check_se_size(se_size)
     valid = height.valid_mask()
     if height_role(height) == BandRole.AGL:
-        return IndexRaster(height.band(BandRole.AGL).astype(np.float32), valid, IndexKind.MBIH)
+        return IndexRaster(height.band(BandRole.AGL).astype(np.float32), valid)
     dsm = height.band(BandRole.DSM).astype(np.float32)
     if not valid.all():
         # holes filled with the valid minimum: reconstruction treats them
@@ -131,7 +123,7 @@ def mbi_h(height: MultibandRaster, se_size: int = 63) -> IndexRaster:
         dsm = np.where(valid, dsm, dsm[valid].min())
     marker = kernels.grey_erode_square(dsm, se_size)
     recon = kernels.reconstruct_dilation(marker, dsm)
-    return IndexRaster(dsm - recon, valid, IndexKind.MBIH)
+    return IndexRaster(dsm - recon, valid)
 
 
 def otsu_threshold(values, bins: int = 256) -> OtsuResult:

@@ -20,22 +20,23 @@ class ConfusionMatrix:
     """
 
     counts: np.ndarray
-    valid_pixels: int
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (N_CLASSES, N_CLASSES):
             raise ValueError("confusion matrix must be 4x4")
-        if int(self.counts.sum()) != self.valid_pixels:
-            raise ValueError("valid_pixels does not match the tally")
+
+    @property
+    def valid_pixels(self) -> int:
+        """The tallied pixels: those where both maps hold a class."""
+        return int(self.counts.sum())
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts,
-                               self.valid_pixels + other.valid_pixels)
+        return ConfusionMatrix(self.counts + other.counts)
 
     @classmethod
     def zero(cls) -> "ConfusionMatrix":
-        return cls(np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64), 0)
+        return cls(np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64))
 
 
 @dataclass
@@ -73,7 +74,7 @@ def confusion(pred: LabelMap, ref: LabelMap) -> ConfusionMatrix:
     pairs = ref.codes * np.uint8(N_CLASSES) + pred.codes
     counts = np.bincount(pairs[keep], minlength=N_CLASSES * N_CLASSES)
     counts = counts.reshape(N_CLASSES, N_CLASSES)
-    return ConfusionMatrix(counts, int(keep.sum()))
+    return ConfusionMatrix(counts)
 
 
 def miou(conf: ConfusionMatrix) -> EvalResult:
@@ -102,15 +103,15 @@ def miou(conf: ConfusionMatrix) -> EvalResult:
     )
 
 
-def posterior_confidence_sum(probs: ProbabilityMap) -> tuple[float, int]:
-    """Sum over covered pixels of the per-pixel maximum class probability, and their count."""
-    return (float(probs.probs.max(axis=0)[probs.weight].sum(dtype=np.float64)),
-            int(probs.weight.sum()))
-
-
-def mean_posterior_confidence(probs: ProbabilityMap) -> float:
-    """Mean over covered pixels of the per-pixel maximum class probability."""
-    total, n = posterior_confidence_sum(probs)
+def mean_posterior_confidence(*maps: ProbabilityMap) -> float:
+    """Mean over the covered pixels of all `maps` of the per-pixel maximum
+    class probability. Each map's float64 sum is added left to right from
+    0.0 by a loop, not `sum`, whose float sums are compensated from Python
+    3.12."""
+    total, n = 0.0, 0
+    for probs in maps:
+        total += float(probs.probs.max(axis=0)[probs.weight].sum(dtype=np.float64))
+        n += int(probs.weight.sum())
     if n == 0:
         raise ValueError("no valid pixels")
     return total / n

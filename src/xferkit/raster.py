@@ -448,7 +448,8 @@ def merge_probability_patches(patches: Iterable[tuple[Window, ProbabilityMap]],
                 window.x + window.width > width or window.y + window.height > height:
             raise ValueError(f"window {window} exceeds raster bounds")
         if not pmap.weight.all():
-            raise ValueError("patch probabilities must sum to 1 within 1e-3")
+            raise ValueError(f"patch at {window} has {int((~pmap.weight).sum())} "
+                             f"uncovered pixels (all four probabilities 0)")
         digest = hashlib.blake2b(probs.tobytes(), digest_size=8).hexdigest()
         items.append(((window.y, window.x, window.height, window.width, digest),
                       window, probs))

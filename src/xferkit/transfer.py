@@ -7,11 +7,9 @@ raster's band role says whether it is a DSM or AGL."""
 from __future__ import annotations
 
 import hashlib
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import reduce
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -20,7 +18,7 @@ from . import indices as idx
 from ._parallel import parallel_map
 from .forest import Forest, rf_predict
 from .metrics import (ConfusionMatrix, CorrelationStats, EvalResult,
-                      confusion, miou, pearson, posterior_confidence_sum)
+                      confusion, mean_posterior_confidence, miou, pearson)
 from .raster import (BandRole, LabelMap, MultibandRaster, ProbabilityMap,
                      height_role, plan_tiles)
 from .raster import merge_probability_patches  # noqa: F401  (perfbench wraps it at this name)
@@ -164,17 +162,10 @@ def assess_scenes(scenes: Sequence[Scene],
         confs = [confusion(p.labels, t) for p, t in zip(preds, truths)]
         gt_confs = [confusion(p.labels, s.gt) for p, s in zip(preds, scenes)
                     if s.gt is not None]
-        sums = [posterior_confidence_sum(p.probs) for p in preds
-                if p.probs is not None]
+        probs = [p.probs for p in preds if p.probs is not None]
         index_eval = miou(sum(confs, ConfusionMatrix.zero()))
         gt_eval = miou(sum(gt_confs, ConfusionMatrix.zero())) if gt_confs else None
-        mean_conf = None
-        if sums:
-            n = sum(k for _, k in sums)
-            if n == 0:
-                raise ValueError("no valid pixels")
-            # a left fold from 0.0: `sum` of floats is compensated from Python 3.12
-            mean_conf = reduce(operator.add, (s for s, _ in sums), 0.0) / n
+        mean_conf = mean_posterior_confidence(*probs) if probs else None
         return TransferReport(
             model_id=model_id,
             domain_id=domain_id,

@@ -145,7 +145,7 @@ def glcm_window_oracle(q, window, levels, offsets, cy, cx):
     return np.array([contrast, dissim, homog, energy, entropy, corr])
 
 
-def best_split_oracle(X, y, idx, feats, min_leaf, n_classes=4):
+def best_split_oracle(X, y, idx, feats, min_leaf):
     """Every midpoint between two adjacent distinct values of every
     candidate feature, scored from scratch as
     sum(c_left^2)/n_left + sum(c_right^2)/n_right; a split needs at least
@@ -158,8 +158,8 @@ def best_split_oracle(X, y, idx, feats, min_leaf, n_classes=4):
     for f in sorted(int(f) for f in feats):
         values = sorted({float(X[i, f]) for i in rows})
         for a, b in zip(values, values[1:]):
-            left = [0] * n_classes
-            right = [0] * n_classes
+            left = [0] * 4          # the schema's four classes
+            right = [0] * 4
             for i in rows:
                 side = left if float(X[i, f]) <= a else right
                 side[int(y[i])] += 1

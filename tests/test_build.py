@@ -1,7 +1,8 @@
-"""The compiled lane builds from a clean copy of the sources and passes the
-kernel and lane-parity tests, the pinned forest digests and the
-block-wise and tiled prediction tests, so Tier-1 exercises it even where
-the working tree holds no build."""
+"""The compiled lane builds from a clean copy of the sources, is the lane
+that runs once its library loads, and passes the kernel and lane-parity
+tests, the pinned forest digests and the block-wise and tiled prediction
+tests, so Tier-1 exercises it even where the working tree holds no
+build."""
 
 import os
 import shutil
@@ -27,7 +28,12 @@ def test_compiled_lane_builds_and_passes_kernel_tests(tmp_path):
                            cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert build.returncode == 0, build.stdout[-2000:] + build.stderr[-2000:]
 
-    env = dict(os.environ, XFERKIT_BACKEND="compiled", PYTHONPATH=str(tmp_path / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+    info = subprocess.run([sys.executable, "-m", "xferkit.cli", "info"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert info.returncode == 0, info.stderr[-2000:]
+    assert "kernel reconstruct_dilation: compiled" in info.stdout, info.stdout
+
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_kernels.py"),

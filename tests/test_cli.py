@@ -351,6 +351,47 @@ def test_merge_rejects_non_integer_window_fields(tmp_path, value, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["absolute", "parent", "subdirectory"])
+def test_merge_reads_only_files_in_the_patch_directory(tmp_path, where, capsys):
+    """A manifest naming a path, not a file name, is refused before any
+    patch is read, even when the file it names holds a fitting patch."""
+    probs = tmp_path / "probs.xras"
+    xras.write_xras(ProbabilityMap(np.full((4, 4, 4), 0.25)), probs)
+    tiles = tmp_path / "tiles"
+    assert main(["tile", "--input", str(probs), "--patch", "2",
+                 "--overlap", "0", "--out-dir", str(tiles)]) == 0
+    manifest = json.loads((tiles / "tiles.json").read_text())
+    patch = (tiles / manifest["windows"][0]["file"]).read_bytes()
+    elsewhere = {"absolute": tmp_path / "outside" / "elsewhere.xras",
+                 "parent": tmp_path / "outside" / "elsewhere.xras",
+                 "subdirectory": tiles / "sub" / "x.xras"}[where]
+    elsewhere.parent.mkdir()
+    elsewhere.write_bytes(patch)
+    name = {"absolute": str(elsewhere), "parent": "../outside/elsewhere.xras",
+            "subdirectory": "sub/x.xras"}[where]
+    manifest["windows"][0]["file"] = name
+    (tiles / "tiles.json").write_text(json.dumps(manifest))
+    out = tmp_path / "m.xras"
+    assert main(["merge", "--patches", str(tiles), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: manifest: TilePatch.file must be a file name in the patch directory, "
+        f"not {name!r} at TileManifest.windows[0]\n")
+    assert not out.exists()
+
+
+def test_merge_names_the_patch_with_an_uncovered_pixel(tmp_path, capsys):
+    probs = np.full((4, 4, 4), 0.25, dtype=np.float32)
+    probs[:, 3, 3] = 0.0
+    xras.write_xras(ProbabilityMap(probs), tmp_path / "probs.xras")
+    tiles = tmp_path / "tiles"
+    assert main(["tile", "--input", str(tmp_path / "probs.xras"), "--patch", "2",
+                 "--overlap", "0", "--out-dir", str(tiles)]) == 0
+    assert main(["merge", "--patches", str(tiles), "--out", str(tmp_path / "m.xras")]) == 1
+    err = capsys.readouterr().err
+    assert "file='tile_00002_00002.xras'" in err
+    assert "has 1 uncovered pixels (all four probabilities 0)" in err
+
+
 @pytest.mark.parametrize("field,value", [("width", 1.0), ("width", "1"), ("width", True),
                                          ("height", 4.0), ("height", 0), ("height", -4)])
 def test_merge_rejects_bad_manifest_sizes(tmp_path, field, value, capsys):

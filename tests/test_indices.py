@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from conftest import agl_raster, const_rgbn, dsm_raster, rgbn_raster
 import xferkit
 from oracles import naive_tophat, otsu_oracle_exact, otsu_oracle_float
-from xferkit.indices import (IndexKind, IndexRaster, ThresholdSet,
-                             fuse_pseudo_labels, mbi_h, ndvi, ndwi,
-                             otsu_threshold)
+from xferkit.indices import (IndexRaster, ThresholdSet, fuse_pseudo_labels,
+                             mbi_h, ndvi, ndwi, otsu_threshold)
 from xferkit.raster import LABEL_VOID, BandRole, MultibandRaster
 
 
@@ -87,7 +86,6 @@ class TestMbiH:
         agl = rng.uniform(0, 30, (8, 8)).astype(np.float32)
         out = mbi_h(agl_raster(agl))
         np.testing.assert_array_equal(out.values, agl)
-        assert out.kind == IndexKind.MBIH
 
     def test_level_shift_invariance_exact(self, rng):
         dsm = (rng.integers(0, 160, size=(24, 24)) * 0.25).astype(np.float32)
@@ -193,53 +191,52 @@ class TestOtsu:
         assert got.threshold == pytest.approx(11 / 256)
 
 
-def _index(values, kind, valid=None):
+def _index(values, valid=None):
     values = np.asarray(values, dtype=np.float32)
     valid = np.ones_like(values, dtype=bool) if valid is None else valid
-    return IndexRaster(values, valid, kind)
+    return IndexRaster(values, valid)
 
 
 class TestFusion:
     thresholds = ThresholdSet(t_ndvi=0.3, t_ndwi=0.4, t_mbih=2.0)
 
     def test_priority_tree_over_building_over_water(self):
-        n = _index([[0.8]], IndexKind.NDVI)
-        w = _index([[0.9]], IndexKind.NDWI)
-        m = _index([[10.0]], IndexKind.MBIH)
+        n = _index([[0.8]])
+        w = _index([[0.9]])
+        m = _index([[10.0]])
         assert fuse_pseudo_labels(n, w, m, self.thresholds).codes[0, 0] == 1
-        n = _index([[0.1]], IndexKind.NDVI)
+        n = _index([[0.1]])
         assert fuse_pseudo_labels(n, w, m, self.thresholds).codes[0, 0] == 2
-        m = _index([[0.5]], IndexKind.MBIH)
+        m = _index([[0.5]])
         assert fuse_pseudo_labels(n, w, m, self.thresholds).codes[0, 0] == 3
 
     def test_ground_when_nothing_fires(self):
-        n = _index([[0.0]], IndexKind.NDVI)
-        w = _index([[0.0]], IndexKind.NDWI)
-        m = _index([[0.0]], IndexKind.MBIH)
+        n = _index([[0.0]])
+        w = _index([[0.0]])
+        m = _index([[0.0]])
         assert fuse_pseudo_labels(n, w, m, self.thresholds).codes[0, 0] == 0
 
     def test_no_height_never_builds(self, rng):
-        n = _index(rng.uniform(0, 1, (9, 9)), IndexKind.NDVI)
-        w = _index(rng.uniform(0, 1, (9, 9)), IndexKind.NDWI)
+        n = _index(rng.uniform(0, 1, (9, 9)))
+        w = _index(rng.uniform(0, 1, (9, 9)))
         out = fuse_pseudo_labels(n, w, None, self.thresholds)
         assert not np.any(out.codes == 2)
 
     def test_invalid_pixels_void(self):
-        n = _index([[0.8, 0.8]], IndexKind.NDVI,
-                   valid=np.array([[True, False]]))
-        w = _index([[0.9, 0.9]], IndexKind.NDWI)
+        n = _index([[0.8, 0.8]], valid=np.array([[True, False]]))
+        w = _index([[0.9, 0.9]])
         out = fuse_pseudo_labels(n, w, None, self.thresholds)
         assert out.codes[0, 1] == LABEL_VOID
 
     def test_dimension_mismatch(self):
-        n = _index([[0.1]], IndexKind.NDVI)
-        w = _index([[0.1, 0.2]], IndexKind.NDWI)
+        n = _index([[0.1]])
+        w = _index([[0.1, 0.2]])
         with pytest.raises(ValueError, match="dimensions"):
             fuse_pseudo_labels(n, w, None, self.thresholds)
 
     def test_raising_ndvi_threshold_shrinks_trees(self, rng):
-        n = _index(rng.uniform(0, 1, (20, 20)), IndexKind.NDVI)
-        w = _index(rng.uniform(0, 1, (20, 20)), IndexKind.NDWI)
+        n = _index(rng.uniform(0, 1, (20, 20)))
+        w = _index(rng.uniform(0, 1, (20, 20)))
         lo = fuse_pseudo_labels(n, w, None, ThresholdSet(0.2, 0.4))
         hi = fuse_pseudo_labels(n, w, None, ThresholdSet(0.6, 0.4))
         lo_trees = lo.codes == 1
@@ -256,13 +253,10 @@ class TestFusion:
         def scramble(a):
             return a.ravel()[perm].reshape(shape)
 
-        direct = fuse_pseudo_labels(_index(nv, IndexKind.NDVI),
-                                    _index(wv, IndexKind.NDWI),
-                                    _index(mv, IndexKind.MBIH),
+        direct = fuse_pseudo_labels(_index(nv), _index(wv), _index(mv),
                                     self.thresholds).codes
-        permuted = fuse_pseudo_labels(_index(scramble(nv), IndexKind.NDVI),
-                                      _index(scramble(wv), IndexKind.NDWI),
-                                      _index(scramble(mv), IndexKind.MBIH),
+        permuted = fuse_pseudo_labels(_index(scramble(nv)), _index(scramble(wv)),
+                                      _index(scramble(mv)),
                                       self.thresholds).codes
         np.testing.assert_array_equal(permuted, scramble(direct))
 

@@ -286,33 +286,26 @@ def test_glcm_block_size_does_not_change_output(monkeypatch):
 # CART split search and tree traversal
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("ties,n_classes", [
-    (False, 4), (True, 4),
-    (False, _kernels.MAX_CLASSES), (True, _kernels.MAX_CLASSES),
-], ids=["distinct", "tied", "distinct-16-classes", "tied-16-classes"])
-def test_best_split_matches_oracle(front, ties, n_classes):
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+def test_best_split_matches_oracle(front, ties):
     """Random nodes of 2 to 60 rows drawn with duplicates from n rows, a
     constant column, every k from 1 to d, and min_leaf from 1 to a third
-    of the node; `ties` rounds the values to a few integers. With 16
-    classes every third row is class 15, whose bits top the sort key of
-    `pure.best_split`."""
-    rng = np.random.default_rng(17 + ties + n_classes - 4)
+    of the node; `ties` rounds the values to a few integers."""
+    rng = np.random.default_rng(17 + ties)
     for _ in range(12):
         n, d = int(rng.integers(2, 40)), int(rng.integers(1, 6))
         X = rng.normal(size=(n, d)).astype(np.float32)
         if ties:
             X = np.round(X)
         X[:, rng.integers(d)] = 0.25
-        y = rng.integers(0, n_classes, n).astype(np.uint8)
-        if n_classes == _kernels.MAX_CLASSES:
-            y[::3] = n_classes - 1
+        y = rng.integers(0, 4, n).astype(np.uint8)
         idx = rng.integers(0, n, int(rng.integers(2, 61)))
         rows, counts = np.unique(idx, return_counts=True)
         for k in range(1, d + 1):
             feats = rng.choice(d, size=k, replace=False)
             min_leaf = int(rng.integers(1, max(2, idx.size // 3)))
-            assert front.best_split(X, y, rows, counts, feats, min_leaf, n_classes) == \
-                best_split_oracle(X, y, idx, feats, min_leaf, n_classes)
+            assert front.best_split(X, y, rows, counts, feats, min_leaf) == \
+                best_split_oracle(X, y, idx, feats, min_leaf)
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
@@ -522,14 +515,7 @@ def test_best_split_rejects_label_out_of_range(front):
     X, y, rows, counts, feats = split_input()
     y[5] = 4
     with pytest.raises(ValueError, match="label"):
-        front.best_split(X, y, rows, counts, feats, 2, n_classes=4)
-
-
-@pytest.mark.parametrize("n_classes", [0, 17])
-def test_best_split_rejects_bad_class_count(front, n_classes):
-    X, y, rows, counts, feats = split_input()
-    with pytest.raises(ValueError, match="n_classes"):
-        front.best_split(X, y, rows, counts, feats, 2, n_classes=n_classes)
+        front.best_split(X, y, rows, counts, feats, 2)
 
 
 def test_tree_apply_rejects_feature_out_of_range(kernels):

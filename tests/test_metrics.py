@@ -71,7 +71,7 @@ class TestMiou:
         counts[0, 1] = 1
         counts[1, 0] = 1
         counts[1, 1] = 3
-        result = miou(ConfusionMatrix(counts, 8))
+        result = miou(ConfusionMatrix(counts))
         assert result.per_class_iou[0] == pytest.approx(0.6)
         assert result.per_class_iou[1] == pytest.approx(0.6)
         assert result.per_class_iou[2] is None
@@ -81,7 +81,7 @@ class TestMiou:
     def test_absent_classes_excluded(self):
         counts = np.zeros((4, 4), dtype=np.int64)
         counts[0, 0] = 10
-        result = miou(ConfusionMatrix(counts, 10))
+        result = miou(ConfusionMatrix(counts))
         assert result.miou == 1.0
         assert result.n_classes_scored == 1
         assert result.per_class_iou[1:] == (None, None, None)

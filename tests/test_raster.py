@@ -350,7 +350,8 @@ class TestMerge:
         vote for the mean."""
         gap = np.zeros((4, 1, 2), dtype=np.float32)
         gap[1, 0, 0] = 1.0
-        with pytest.raises(ValueError, match="sum to 1"):
+        with pytest.raises(ValueError, match=r"patch at Window\(x=0, y=0, width=2, height=1\) "
+                                             r"has 1 uncovered pixels"):
             merge_probability_patches([(Window(0, 0, 2, 1), ProbabilityMap(gap))], 2, 1)
 
 
